@@ -32,11 +32,11 @@ from .errors import ParameterError, SumsetVCError
 from .families import (
     FamilyKind,
     PointSet,
+    check_modulus,
     embed_01,
     family_from_points,
     format_family_text,
     generate_family,
-    is_prime,
     k_fold_sumset,
     pairwise_family,
     parse_family_text,
@@ -130,23 +130,6 @@ def _digest(core: dict) -> str:
     return hashlib.sha256(
         json.dumps(core, separators=(",", ":"), ensure_ascii=True).encode()
     ).hexdigest()
-
-
-def _verify_envelope(command_echo, theorem, parameters, seed, report, timing_ms):
-    core = {
-        "tool_version": __version__,
-        "command_echo": list(command_echo),
-        "theorem": theorem,
-        "parameters": parameters,
-        "seed": seed,
-        "instances_checked": report.instances_checked,
-        "violations": report.violations,
-        "extremes": report.extremes,
-    }
-    doc = dict(core)
-    doc["timing_ms"] = timing_ms
-    doc["content_digest"] = _digest(core)
-    return doc
 
 
 def _simple_envelope(command_echo, payload: dict, timing_ms=None) -> dict:
@@ -306,8 +289,7 @@ def _resolve_polynomial(args) -> ReducedPolynomial:
         return _load_polynomial(args.in_poly)
     if args.n is None or args.d is None:
         raise ParameterError("either --in-poly or both --n and --d are required")
-    if not is_prime(args.p):
-        raise ParameterError(f"modulus must be prime, got {args.p}")
+    check_modulus(args.p)
     return random_polynomial(args.p, args.n, args.d, SplitMix64(args.seed))
 
 
@@ -433,6 +415,12 @@ def _handle_verify(args) -> int:
                 file=sys.stderr,
             )
             return 1
+        # the digest covers every field before timing_ms, in the schema's order
+        fields = report_schema()["required"]
+        core = {key: doc[key] for key in fields[: fields.index("timing_ms")]}
+        if _digest(core) != doc["content_digest"]:
+            print(f"error: {args.replay}: content_digest does not match the report", file=sys.stderr)
+            return 2
         return 0
     if args.theorem is None or args.n is None:
         raise ParameterError("verify requires --theorem and --n")
@@ -455,14 +443,15 @@ def _handle_verify(args) -> int:
             progress=progress,
         )
     timing_ms = (time.perf_counter() - started) * 1000.0 if args.timings else None
-    doc = _verify_envelope(
-        args.command_echo,
-        report.theorem,
-        report.parameters,
-        report.seed,
-        report,
-        timing_ms,
-    )
+    payload = {
+        "theorem": report.theorem,
+        "parameters": report.parameters,
+        "seed": report.seed,
+        "instances_checked": report.instances_checked,
+        "violations": report.violations,
+        "extremes": report.extremes,
+    }
+    doc = _simple_envelope(args.command_echo, payload, timing_ms)
     if args.format == "csv":
         _write_output(_verify_csv(doc), args.out)
     else:
@@ -637,7 +626,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--emit-schema", action="store_true",
                      help="print the report JSON schema and exit")
     ver.add_argument("--replay", default=None,
-                     help="validate a saved report and exit 1 if it records violations")
+                     help="validate a saved report (schema, content_digest) and exit 1 if it "
+                     "records violations")
     ver.add_argument("--format", choices=["json", "csv"], default="json")
     ver.add_argument("--out", default=None)
     ver.set_defaults(handler=_handle_verify)

@@ -24,13 +24,14 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionMismatchError, ParameterError, ResourceLimitError
-from .families import PointSet
+from .families import PointSet, add_points
 from .linalg import FieldMatrix, rank
 from .polynomials import (
     ReducedPolynomial,
     _basis_key,
-    _digit_matrix,
+    _cube_digits,
     monomial_count,
+    monomial_values,
     values_on_cube,
 )
 
@@ -91,30 +92,10 @@ class DiagonalReport:
 @lru_cache(maxsize=16)
 def _pairwise_sum_index(p: int, n: int) -> np.ndarray:
     """size x size table of encoded coordinatewise sums, size = p**n."""
-    size = p**n
-    idx = np.arange(size, dtype=np.int64)
-    if p == 2:
-        table = np.bitwise_xor.outer(idx, idx)
-    else:
-        table = np.zeros((size, size), dtype=np.int64)
-        weight = 1
-        for _ in range(n):
-            digit = idx // weight % p
-            table += (digit[:, None] + digit[None, :]) % p * weight
-            weight *= p
+    idx = np.arange(p**n, dtype=np.int64)
+    table = add_points(idx[:, None], idx[None, :], p, n)
     table.setflags(write=False)
     return table
-
-
-def _digitwise_add_arrays(a: np.ndarray, b: np.ndarray, p: int, n: int) -> np.ndarray:
-    if p == 2:
-        return np.bitwise_xor(a, b)
-    out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-    weight = 1
-    for _ in range(n):
-        out += (a // weight % p + b // weight % p) % p * weight
-        weight *= p
-    return out
 
 
 def clp_matrix(poly: ReducedPolynomial, *, point_limit: int = DEFAULT_POINT_LIMIT) -> FieldMatrix:
@@ -252,14 +233,10 @@ def decomposition_values(
     size = p**n
     if size**k > grid_limit:
         raise ResourceLimitError(f"grid of {size ** k} points exceeds the guard {grid_limit}")
-    digits = _digit_matrix(p, n)
-    pow_table = np.array([[pow(x, e, p) for e in range(p)] for x in range(p)], dtype=np.int64)
+    digits = _cube_digits(p, n)
     total = np.zeros((size,) * k, dtype=np.int64)
     for term in dec.terms:
-        axis_vals = np.ones(size, dtype=np.int64)
-        for j, e in enumerate(term.axis_monomial):
-            if e:
-                axis_vals = axis_vals * pow_table[digits[:, j], e] % p
+        axis_vals = monomial_values(digits, term.axis_monomial, p)
         residual_vals = values_on_cube(term.residual)
         residual_grid = residual_vals.reshape((size,) * (k - 1), order="F")
         residual_grid = np.expand_dims(residual_grid, axis=term.axis - 1)
@@ -295,7 +272,7 @@ def sum_tensor(
     pts = np.array(points.points, dtype=np.int64)
     acc = pts
     for _ in range(k - 1):
-        acc = _digitwise_add_arrays(acc[..., None], pts, p, n)
+        acc = add_points(acc[..., None], pts, p, n)
     distinct, inverse = np.unique(acc, return_inverse=True)
     fvals = np.array([f.evaluate_encoded(int(s)) for s in distinct], dtype=np.int64)
     values = fvals[inverse].reshape(acc.shape)

@@ -60,6 +60,18 @@ def is_prime(m: int) -> bool:
     return True
 
 
+def check_modulus(p: int) -> None:
+    """Reject any modulus the exact kernels cannot use.
+
+    The numpy kernels multiply two residues in int64, so p must be a prime
+    with p * p < 2**63; larger primes would wrap around silently.
+    """
+    if p * p >= 1 << 63:
+        raise ParameterError(f"modulus {p} is too large: exact int64 arithmetic needs p**2 < 2**63")
+    if not is_prime(p):
+        raise ParameterError(f"modulus must be prime, got {p}")
+
+
 def binom_sum(n: int, d: int) -> int:
     """Partial binomial sum C(n,0) + ... + C(n,min(d,n)), exact."""
     if n < 0:
@@ -110,8 +122,7 @@ class PointSet:
     points: tuple[int, ...]
 
     def __post_init__(self):
-        if not is_prime(self.modulus):
-            raise ParameterError(f"modulus must be prime, got {self.modulus}")
+        check_modulus(self.modulus)
         if self.dimension < 1:
             raise ParameterError(f"dimension must be >= 1, got {self.dimension}")
         size = self.modulus**self.dimension
@@ -162,16 +173,19 @@ def encode_point(digits: Iterable[int], p: int) -> int:
     return value
 
 
-def add_points(a: int, b: int, p: int, n: int) -> int:
-    """Digitwise sum mod p of two encoded points."""
+def add_points(a, b, p: int, n: int):
+    """Digitwise sum mod p of two encoded points.
+
+    Works on Python ints and elementwise, with broadcasting, on int64 arrays.
+    """
     if p == 2:
         return a ^ b
     out = 0
     weight = 1
     for _ in range(n):
-        out += ((a % p) + (b % p)) % p * weight
-        a //= p
-        b //= p
+        out += (a % p + b % p) % p * weight
+        a = a // p
+        b = b // p
         weight *= p
     return out
 
@@ -279,17 +293,13 @@ def k_fold_sumset(a: PointSet, k: int) -> PointSet:
     p, n = a.modulus, a.dimension
     acc = set(a.points)
     for _ in range(k - 1):
-        if p == 2:
-            acc = {x ^ s for x in a.points for s in acc}
-        else:
-            acc = {add_points(x, s, p, n) for x in a.points for s in acc}
+        acc = {add_points(x, s, p, n) for x in a.points for s in acc}
     return PointSet(p, n, tuple(sorted(acc)))
 
 
 def embed_01(a: SetFamily, p: int) -> PointSet:
     """Reinterpret bitmasks as 0/1 vectors inside F_p^n."""
-    if not is_prime(p):
-        raise ParameterError(f"modulus must be prime, got {p}")
+    check_modulus(p)
     a.require_nonempty("embed_01")
     n = a.ground_size
     if p == 2:

@@ -23,9 +23,15 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionMismatchError, ParameterError, WitnessNotFoundError
-from .families import PointSet, SetFamily, decode_point
-from .linalg import FieldMatrix, SpanTrackerGF2, SpanTrackerModP
-from .polynomials import MonomialBasis, ReducedPolynomial, _exponent_vectors, _basis_key
+from .families import PointSet, SetFamily
+from .linalg import FieldMatrix, SpanTrackerGF2, SpanTrackerModP, pack_bits
+from .polynomials import (
+    MonomialBasis,
+    ReducedPolynomial,
+    monomial_basis,
+    monomial_values,
+    point_digits,
+)
 from .vc import vc_dim
 
 
@@ -54,79 +60,47 @@ def evaluation_matrix(domain: PointSet, basis: MonomialBasis) -> FieldMatrix:
             "domain and basis disagree on modulus or dimension"
         )
     p, n = domain.modulus, domain.dimension
-    digits = np.array([decode_point(pt, p, n) for pt in domain.points], dtype=np.int64)
-    pow_table = np.array([[pow(x, e, p) for e in range(p)] for x in range(p)], dtype=np.int64)
+    digits = point_digits(domain.points, p, n)
     out = np.empty((len(domain.points), len(basis.monomials)), dtype=np.int64)
     for j, expvec in enumerate(basis.monomials):
-        col = np.ones(len(domain.points), dtype=np.int64)
-        for axis, e in enumerate(expvec):
-            if e:
-                col = col * pow_table[digits[:, axis], e] % p
-        out[:, j] = col
+        out[:, j] = monomial_values(digits, expvec, p)
     return FieldMatrix(p, out)
 
 
-def _graded_monomials(p: int, n: int) -> list[list[tuple[int, ...]]]:
+@lru_cache(maxsize=32)
+def _grades(p: int, n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The reduced monomials of each total degree, in canonical basis order."""
     grades: list[list[tuple[int, ...]]] = [[] for _ in range((p - 1) * n + 1)]
-    for expvec in _exponent_vectors(p, n, (p - 1) * n):
+    for expvec in monomial_basis(p, n, (p - 1) * n).monomials:
         grades[sum(expvec)].append(expvec)
-    for grade in grades:
-        grade.sort(key=_basis_key)
-    return grades
+    return tuple(tuple(grade) for grade in grades)
 
 
-def _gf2_column(points: tuple[int, ...], monomial_mask: int) -> int:
-    col = 0
-    for i, pt in enumerate(points):
-        if pt & monomial_mask == monomial_mask:
-            col |= 1 << i
-    return col
+def _graded_span(p: int, n: int, points: tuple[int, ...]):
+    """Yield (d, tracker) once the tracker holds every monomial column of degree <= d.
 
-
-def _iter_gf2_grade_columns(points: tuple[int, ...], n: int, grade: int):
-    # multilinear monomials of one grade, in canonical (descending-lex) order
-    for expvec in sorted(_exponent_vectors(2, n, grade), key=_basis_key):
-        if sum(expvec) != grade:
-            continue
-        mask = 0
-        for i, e in enumerate(expvec):
-            if e:
-                mask |= 1 << i
-        yield _gf2_column(points, mask)
-
-
-def _modp_grade_columns(points: tuple[int, ...], p: int, n: int, monomials) -> list[np.ndarray]:
-    digits = np.array([decode_point(pt, p, n) for pt in points], dtype=np.int64)
-    pow_table = np.array([[pow(x, e, p) for e in range(p)] for x in range(p)], dtype=np.int64)
-    cols = []
-    for expvec in monomials:
-        col = np.ones(len(points), dtype=np.int64)
-        for axis, e in enumerate(expvec):
-            if e:
-                col = col * pow_table[digits[:, axis], e] % p
-        cols.append(col)
-    return cols
+    A column is one monomial's values on the points. For p = 2 columns are
+    bit-packed integers (bit i = point i) in a SpanTrackerGF2; otherwise they
+    are int64 vectors in a SpanTrackerModP.
+    """
+    m = len(points)
+    digits = point_digits(points, p, n)
+    tracker = SpanTrackerGF2(m) if p == 2 else SpanTrackerModP(p, m)
+    for d, grade in enumerate(_grades(p, n)):
+        columns = np.empty((len(grade), m), dtype=np.int64)
+        for k, expvec in enumerate(grade):
+            columns[k] = monomial_values(digits, expvec, p)
+        for col in pack_bits(columns) if p == 2 else columns:
+            tracker.add(col)
+        yield d, tracker
+    raise AssertionError("the full reduced basis spans every function")
 
 
 @lru_cache(maxsize=1 << 17)
 def _int_deg_points(p: int, n: int, points: tuple[int, ...]) -> int:
-    m = len(points)
-    if p == 2:
-        tracker = SpanTrackerGF2(m)
-        for d in range(n + 1):
-            for col in _iter_gf2_grade_columns(points, n, d):
-                tracker.add(col)
-            if tracker.rank == m:
-                return d
-        raise AssertionError("full multilinear basis must span all functions")
-    grades = _graded_monomials(p, n)
-    tracker = SpanTrackerModP(p, m)
-    for d, monomials in enumerate(grades):
-        for col in _modp_grade_columns(points, p, n, monomials):
-            tracker.add(col)
-        if tracker.rank == m:
+    for d, tracker in _graded_span(p, n, points):
+        if tracker.rank == len(points):
             return d
-    raise AssertionError("full reduced basis must span all functions")
 
 
 def int_deg(domain: PointSet) -> int:
@@ -138,30 +112,13 @@ def int_deg(domain: PointSet) -> int:
 def deg_on_set(f: PartialFunction) -> int:
     """Minimal degree of a reduced polynomial agreeing with f on its domain."""
     f.domain.require_nonempty("deg_on_set")
-    p, n = f.domain.modulus, f.domain.dimension
-    points = f.domain.points
-    m = len(points)
-    if p == 2:
-        target = 0
-        for i, v in enumerate(f.values):
-            if v:
-                target |= 1 << i
-        tracker = SpanTrackerGF2(m)
-        for d in range(n + 1):
-            for col in _iter_gf2_grade_columns(points, n, d):
-                tracker.add(col)
-            if tracker.contains(target):
-                return d
-        raise AssertionError("full multilinear basis must span all functions")
+    p = f.domain.modulus
     target = np.array(f.values, dtype=np.int64)
-    grades = _graded_monomials(p, n)
-    tracker = SpanTrackerModP(p, m)
-    for d, monomials in enumerate(grades):
-        for col in _modp_grade_columns(points, p, n, monomials):
-            tracker.add(col)
+    if p == 2:
+        (target,) = pack_bits(target.reshape(1, -1))
+    for d, tracker in _graded_span(p, f.domain.dimension, f.domain.points):
         if tracker.contains(target):
             return d
-    raise AssertionError("full reduced basis must span all functions")
 
 
 def find_unshattered_witness(family: SetFamily, subset_mask: int) -> dict[int, int]:
@@ -175,20 +132,18 @@ def find_unshattered_witness(family: SetFamily, subset_mask: int) -> dict[int, i
     n = family.ground_size
     if not 0 < subset_mask < (1 << n):
         raise ParameterError(f"subset mask {subset_mask} out of range or empty")
-    positions = [i for i in range(subset_mask.bit_length()) if subset_mask >> i & 1]
-    k = len(positions)
-    seen = set()
-    for member in family.members:
-        trace = 0
-        for j, pos in enumerate(positions):
-            trace |= ((member >> pos) & 1) << j
-        seen.add(trace)
-    for trace in range(1 << k):
-        if trace not in seen:
-            return {positions[j] + 1: (trace >> j) & 1 for j in range(k)}
-    raise WitnessNotFoundError(
-        f"subset {subset_mask:#x} is shattered; every pattern occurs"
-    )
+    seen = {member & subset_mask for member in family.members}
+    # submasks of the subset in ascending order, i.e. ascending traces
+    sub = 0
+    while sub in seen:
+        if sub == subset_mask:
+            raise WitnessNotFoundError(
+                f"subset {subset_mask:#x} is shattered; every pattern occurs"
+            )
+        sub = (sub - subset_mask) & subset_mask
+    return {
+        i + 1: sub >> i & 1 for i in range(subset_mask.bit_length()) if subset_mask >> i & 1
+    }
 
 
 def represent_monomial(family: SetFamily, monomial_mask: int) -> ReducedPolynomial:

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .families import is_prime
+from .families import check_modulus
 
 
 @dataclass(frozen=True, eq=False)
@@ -26,8 +26,7 @@ class FieldMatrix:
     array: np.ndarray
 
     def __post_init__(self):
-        if not is_prime(self.modulus):
-            raise ParameterError(f"modulus must be prime, got {self.modulus}")
+        check_modulus(self.modulus)
         arr = np.asarray(self.array, dtype=np.int64)
         if arr.ndim != 2:
             raise ParameterError("matrix must be two-dimensional")
@@ -60,34 +59,26 @@ class FieldMatrix:
         return hash((self.modulus, self.array.shape, self.array.tobytes()))
 
 
+def pack_bits(array: np.ndarray) -> list[int]:
+    """Rows of a 2-D array as integers, bit j set where entry j is nonzero."""
+    packed = np.packbits(array, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 def pack_gf2_rows(matrix: FieldMatrix) -> list[int]:
     """Rows as integers with bit j = column j; requires p = 2."""
     if matrix.modulus != 2:
         raise ParameterError("packed rows are defined for p = 2 only")
-    out = []
-    for row in matrix.array:
-        word = 0
-        for j in np.nonzero(row)[0]:
-            word |= 1 << int(j)
-        out.append(word)
-    return out
+    return pack_bits(matrix.array)
 
 
 def rank_gf2_packed(rows: Iterable[int]) -> int:
     """Rank over F_2 of bit-packed rows; pivots claimed in column order."""
-    pivots: dict[int, int] = {}
-    rank = 0
+    rows = list(rows)
+    tracker = SpanTrackerGF2(max(rows, default=0).bit_length())
     for row in rows:
-        cur = row
-        while cur:
-            low = cur & -cur
-            piv = pivots.get(low)
-            if piv is None:
-                pivots[low] = cur
-                rank += 1
-                break
-            cur ^= piv
-    return rank
+        tracker.add(row)
+    return tracker.rank
 
 
 def _rank_generic(array: np.ndarray, p: int) -> int:
@@ -168,8 +159,7 @@ class SpanTrackerModP:
     __slots__ = ("modulus", "length", "_pivots")
 
     def __init__(self, modulus: int, length: int):
-        if not is_prime(modulus):
-            raise ParameterError(f"modulus must be prime, got {modulus}")
+        check_modulus(modulus)
         self.modulus = modulus
         self.length = length
         self._pivots: dict[int, np.ndarray] = {}

@@ -19,15 +19,14 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ParameterError, ResourceLimitError
-from .families import ENCODING_LIMIT, decode_point, is_prime
+from .families import ENCODING_LIMIT, check_modulus, decode_point
 
 # materializing every point of F_p^n is only sane well below the encoding guard
 CUBE_MATERIALIZE_LIMIT = 1 << 26
 
 
 def _validate_field(p: int, n: int) -> None:
-    if not is_prime(p):
-        raise ParameterError(f"modulus must be prime, got {p}")
+    check_modulus(p)
     if n < 1:
         raise ParameterError(f"dimension must be >= 1, got {n}")
 
@@ -276,17 +275,39 @@ def random_polynomial(p: int, n: int, d: int, gen) -> ReducedPolynomial:
     return ReducedPolynomial(p, n, terms)
 
 
+def point_digits(points, p: int, n: int) -> tuple[np.ndarray, ...]:
+    """Base-p digit columns of encoded points: column j holds coordinate j+1."""
+    values = np.asarray(points, dtype=np.int64)
+    return tuple(values // p**j % p for j in range(n))
+
+
 @lru_cache(maxsize=32)
-def _digit_matrix(p: int, n: int) -> np.ndarray:
-    size = p**n
-    points = np.arange(size, dtype=np.int64)
-    digits = np.empty((size, n), dtype=np.int64)
-    weight = 1
-    for j in range(n):
-        digits[:, j] = points // weight % p
-        weight *= p
-    digits.setflags(write=False)
-    return digits
+def _cube_digits(p: int, n: int) -> tuple[np.ndarray, ...]:
+    columns = point_digits(np.arange(p**n, dtype=np.int64), p, n)
+    for column in columns:
+        column.setflags(write=False)
+    return columns
+
+
+def monomial_values(
+    digits: Sequence[np.ndarray], expvec: Sequence[int], p: int, coeff: int = 1
+) -> np.ndarray:
+    """coeff * x^expvec mod p at every point of the digit columns (0^0 = 1).
+
+    Each power comes from square-and-multiply on its digit column, so every
+    product is of two residues (below p**2) and no power table is built.
+    """
+    out = coeff % p
+    for e, base in zip(expvec, digits):
+        while e:
+            if e & 1:
+                out = out * base % p
+            e >>= 1
+            if e:
+                base = base * base % p
+    if not isinstance(out, np.ndarray):
+        return np.full(len(digits[0]), out, dtype=np.int64)
+    return out
 
 
 def values_on_cube(poly: ReducedPolynomial) -> np.ndarray:
@@ -295,13 +316,8 @@ def values_on_cube(poly: ReducedPolynomial) -> np.ndarray:
     size = p**n
     if size > CUBE_MATERIALIZE_LIMIT:
         raise ResourceLimitError(f"refusing to materialize {size} cube points")
-    digits = _digit_matrix(p, n)
-    pow_table = np.array([[pow(x, e, p) for e in range(p)] for x in range(p)], dtype=np.int64)
+    digits = _cube_digits(p, n)
     out = np.zeros(size, dtype=np.int64)
     for expvec, coeff in poly.terms.items():
-        term = np.full(size, coeff, dtype=np.int64)
-        for j, e in enumerate(expvec):
-            if e:
-                term = term * pow_table[digits[:, j], e] % p
-        out += term
+        out += monomial_values(digits, expvec, p, coeff)
     return out % p

@@ -24,20 +24,10 @@ class ShatterReport:
 
 
 def _is_shattered_masks(members: tuple[int, ...], candidate: int) -> bool:
-    k = candidate.bit_count()
-    if len(members) < (1 << k):
+    patterns = 1 << candidate.bit_count()
+    if len(members) < patterns:
         return False
-    positions = [i for i in range(candidate.bit_length()) if candidate >> i & 1]
-    full = (1 << (1 << k)) - 1
-    seen = 0
-    for m in members:
-        trace = 0
-        for j, pos in enumerate(positions):
-            trace |= ((m >> pos) & 1) << j
-        seen |= 1 << trace
-        if seen == full:
-            return True
-    return False
+    return len({m & candidate for m in members}) == patterns
 
 
 def is_shattered(family: SetFamily, candidate: int) -> bool:

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import enum
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .clp import verify_clp_bound
 from .errors import ParameterError, ResourceLimitError
@@ -20,9 +22,9 @@ from .families import (
     FamilyKind,
     SetFamily,
     binom_sum,
+    check_modulus,
     embed_01,
     generate_family,
-    is_prime,
     k_fold_sumset,
     pairwise_family,
 )
@@ -134,8 +136,9 @@ def _instance_inequality(theorem: TheoremId, family: SetFamily, p: int | None) -
     if theorem is TheoremId.INTDEG_LE_VC:
         return int_deg(embed_01(family, 2)), vc_dim(family)
     if theorem is TheoremId.PSUMS:
-        if p is None or not is_prime(p):
+        if p is None:
             raise ParameterError("psums requires a prime modulus p")
+        check_modulus(p)
         e = int_deg(k_fold_sumset(embed_01(family, p), p))
         return len(family), p * monomial_count(p, n, e // p)
     if theorem is TheoremId.VC_MONOTONE:
@@ -213,38 +216,35 @@ def _poly_from_coeff_mask(coeff_mask: int, n: int) -> ReducedPolynomial:
     return ReducedPolynomial(2, n, terms)
 
 
-def _scan_family_chunk(args) -> _ScanState:
-    theorem_value, n, p, start, stop = args
-    theorem = TheoremId(theorem_value)
+def _check_families(theorem: TheoremId, p: int | None, families) -> _ScanState:
     state = _ScanState()
-    for char in range(start, stop):
-        family = _family_from_char(char, n)
+    for family in families:
         lhs, rhs = _instance_inequality(theorem, family, p)
         state.record(_family_instance(family), lhs, rhs)
     return state
 
 
-def _scan_poly_chunk(args) -> _ScanState:
-    n, start, stop = args
+def _check_polys(polys) -> _ScanState:
     state = _ScanState()
-    for coeff_mask in range(start, stop):
-        poly = _poly_from_coeff_mask(coeff_mask, n)
+    for poly in polys:
         report = verify_clp_bound(poly)
         state.record(_poly_instance(poly), report.rank, report.bound)
     return state
 
 
-def _run_chunks(worker, chunk_args, workers: int, progress=None, total: int | None = None) -> _ScanState:
+def _run_chunks(worker, chunks, workers: int, progress=None, total: int | None = None) -> _ScanState:
+    """Merge worker(*args) over the chunk argument tuples, in chunk order."""
+    if workers < 1:
+        raise ParameterError(f"workers must be >= 1, got {workers}")
     state = _ScanState()
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for partial in pool.map(worker, chunk_args):
-                state.merge(partial)
-                if progress is not None:
-                    progress(state.count, total)
-    else:
-        for args in chunk_args:
-            state.merge(worker(args))
+    with ExitStack() as stack:
+        if workers > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            partials = pool.map(worker, *zip(*chunks))
+        else:
+            partials = (worker(*args) for args in chunks)
+        for partial in partials:
+            state.merge(partial)
             if progress is not None:
                 progress(state.count, total)
     return state
@@ -274,17 +274,21 @@ def exhaustive_scan(
             raise ResourceLimitError(
                 "exhaustive polynomial enumeration is tractable over F_2 only; use random_scan"
             )
-        total = 1 << (1 << n)
-        chunks = [(n, start, min(start + CHUNK, total)) for start in range(0, total, CHUNK)]
-        state = _run_chunks(_scan_poly_chunk, chunks, workers, progress, total)
+        # lazy maps: instances are built one at a time, where the chunk runs
+        masks = range(1 << (1 << n))
+        chunks = (
+            (map(_poly_from_coeff_mask, masks[start : start + CHUNK], repeat(n)),)
+            for start in range(0, len(masks), CHUNK)
+        )
+        state = _run_chunks(_check_polys, chunks, workers, progress, len(masks))
         parameters = {"n": n, "p": 2, "mode": "exhaustive", "samples": None}
     else:
-        total = (1 << (1 << n)) - 1
-        chunks = [
-            (theorem.value, n, p, start, min(start + CHUNK, total + 1))
-            for start in range(1, total + 1, CHUNK)
-        ]
-        state = _run_chunks(_scan_family_chunk, chunks, workers, progress, total)
+        chars = range(1, 1 << (1 << n))
+        chunks = (
+            (theorem, p, map(_family_from_char, chars[start : start + CHUNK], repeat(n)))
+            for start in range(0, len(chars), CHUNK)
+        )
+        state = _run_chunks(_check_families, chunks, workers, progress, len(chars))
         parameters = {"n": n, "p": p, "mode": "exhaustive", "samples": None}
     return VerificationReport(
         theorem=theorem.value,
@@ -294,27 +298,6 @@ def exhaustive_scan(
         violations=state.violations,
         extremes=state.extreme[1] if state.extreme else None,
     )
-
-
-def _check_family_instances(args) -> _ScanState:
-    theorem_value, p, instances = args
-    theorem = TheoremId(theorem_value)
-    state = _ScanState()
-    for n, members in instances:
-        family = SetFamily(n, members)
-        lhs, rhs = _instance_inequality(theorem, family, p)
-        state.record(_family_instance(family), lhs, rhs)
-    return state
-
-
-def _check_poly_instances(args) -> _ScanState:
-    (instances,) = args
-    state = _ScanState()
-    for p, n, term_list in instances:
-        poly = ReducedPolynomial.from_term_list(p, n, term_list)
-        report = verify_clp_bound(poly)
-        state.record(_poly_instance(poly), report.rank, report.bound)
-    return state
 
 
 def random_scan(
@@ -339,29 +322,22 @@ def random_scan(
     gen = SplitMix64(seed)
     if theorem is TheoremId.CLP_BOUND:
         modulus = 2 if p is None else p
-        if not is_prime(modulus):
-            raise ParameterError(f"modulus must be prime, got {modulus}")
+        check_modulus(modulus)
         dmax = (modulus - 1) * n
-        instances = []
-        for i in range(samples):
-            poly = random_polynomial(modulus, n, i % (dmax + 1), gen)
-            instances.append((modulus, n, tuple(poly.to_term_list())))
-        chunks = [
-            (instances[start : start + CHUNK],) for start in range(0, len(instances), CHUNK)
-        ]
-        state = _run_chunks(_check_poly_instances, chunks, workers, progress, samples)
+        polys = [random_polynomial(modulus, n, i % (dmax + 1), gen) for i in range(samples)]
+        chunks = ((polys[start : start + CHUNK],) for start in range(0, samples, CHUNK))
+        state = _run_chunks(_check_polys, chunks, workers, progress, samples)
         parameters = {"n": n, "p": modulus, "mode": "random", "samples": samples}
     else:
         universe = 1 << n
-        instances = []
+        families = []
         for _ in range(samples):
             size = 1 + gen.below(universe)
-            instances.append((n, tuple(sample_distinct(universe, size, gen))))
-        chunks = [
-            (theorem.value, p, instances[start : start + CHUNK])
-            for start in range(0, len(instances), CHUNK)
-        ]
-        state = _run_chunks(_check_family_instances, chunks, workers, progress, samples)
+            families.append(SetFamily(n, tuple(sample_distinct(universe, size, gen))))
+        chunks = (
+            (theorem, p, families[start : start + CHUNK]) for start in range(0, samples, CHUNK)
+        )
+        state = _run_chunks(_check_families, chunks, workers, progress, samples)
         parameters = {"n": n, "p": p, "mode": "random", "samples": samples}
     return VerificationReport(
         theorem=theorem.value,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import jsonschema
@@ -180,6 +181,16 @@ def test_verify_worker_count_does_not_change_output(tmp_path):
         assert d1[key] == d2[key]
 
 
+def test_verify_rejects_fewer_than_one_worker(capsys):
+    for workers in ("0", "-1"):
+        base = ["verify", "--theorem", "sauer", "--n", "2", "--workers", workers, "--no-progress"]
+        assert run_cli(*base) == 2
+        assert run_cli(*base, "--mode", "random", "--samples", "5") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "workers must be >= 1" in captured.err
+
+
 def test_verify_random_seeded(tmp_path):
     out = str(tmp_path / "rep.json")
     code = run_cli(
@@ -254,6 +265,35 @@ def test_replay_planted_violation_exits_1(tmp_path, capsys):
     corrupted.write_text(json.dumps(doc))
     assert run_cli("verify", "--replay", str(corrupted)) == 1
     assert "violation" in capsys.readouterr().err
+
+
+def test_replay_recomputes_content_digest(tmp_path, capsys):
+    def write(name, doc):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc, indent=2))
+        return str(path)
+
+    def sign(doc):
+        # the documented digest: canonical JSON of every field before timing_ms
+        core = {k: v for k, v in doc.items() if k not in ("timing_ms", "content_digest")}
+        text = json.dumps(core, separators=(",", ":"), ensure_ascii=True)
+        return dict(doc, content_digest=hashlib.sha256(text.encode()).hexdigest())
+
+    out = tmp_path / "rep.json"
+    run_cli("verify", "--theorem", "sauer", "--n", "2", "--no-progress", "--out", str(out))
+    clean = json.loads(out.read_text())
+    assert sign(clean) == clean
+    assert run_cli("verify", "--replay", write("clean.json", clean)) == 0
+
+    violation = {"instance": {"kind": "family", "n": 2, "members": [0]}, "lhs": 99, "rhs": 1}
+    violating = sign(dict(clean, violations=[violation]))
+    assert run_cli("verify", "--replay", write("violating.json", violating)) == 1
+    deleted = dict(violating, violations=[])
+    assert run_cli("verify", "--replay", write("deleted.json", deleted)) == 2
+
+    edited = dict(clean, extremes=dict(clean["extremes"], lhs=clean["extremes"]["lhs"] + 1))
+    assert run_cli("verify", "--replay", write("edited.json", edited)) == 2
+    assert "content_digest" in capsys.readouterr().err
 
 
 def test_replay_schema_invalid_exits_2(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from sumsetvc import (
     pairwise_family,
     parse_family_text,
 )
+from sumsetvc.families import add_points, decode_point, encode_point
 
 from oracles import naive_k_fold, naive_pairwise
 
@@ -164,6 +166,16 @@ def test_k_fold_matches_enumeration_oracle():
         assert k_fold_sumset(pts, k).points == naive_k_fold(pts.points, 3, 2, k)
     pts2 = PointSet.from_points(5, 2, [0, 6, 7])
     assert k_fold_sumset(pts2, 3).points == naive_k_fold(pts2.points, 5, 2, 3)
+
+
+def test_add_points_broadcasts_over_arrays():
+    for p, n in ((2, 3), (3, 2), (5, 2)):
+        idx = np.arange(p**n, dtype=np.int64)
+        table = add_points(idx[:, None], idx[None, :], p, n)
+        for x in range(p**n):
+            for y in range(p**n):
+                digits = [(a + b) % p for a, b in zip(decode_point(x, p, n), decode_point(y, p, n))]
+                assert table[x, y] == encode_point(digits, p) == add_points(x, y, p, n)
 
 
 def test_k_fold_parameter_errors():

@@ -50,6 +50,21 @@ def test_evaluation_matrix_examples():
     assert m.array.tolist() == [[1, 1, 1, 1, 1, 1]]
 
 
+def test_evaluation_matrix_at_large_primes():
+    gen = SplitMix64(8)
+    for p, n, d in ((65537, 2, 3), (3037000493, 1, 4)):
+        points = PointSet.from_points(p, n, [gen.below(p**n) for _ in range(6)] + [p**n - 1])
+        basis = monomial_basis(p, n, d)
+        m = evaluation_matrix(points, basis)
+        for i, pt in enumerate(points.points):
+            digits = decode_point(pt, p, n)
+            for j, expvec in enumerate(basis.monomials):
+                want = 1
+                for x, e in zip(digits, expvec):
+                    want = want * pow(x, e, p) % p
+                assert m.array[i, j] == want
+
+
 def test_evaluation_matrix_dimension_mismatch():
     from sumsetvc import DimensionMismatchError
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sumsetvc import FieldMatrix, ParameterError, rank
+from sumsetvc import FieldMatrix, ParameterError, PointSet, ReducedPolynomial, rank
 from sumsetvc.linalg import SpanTrackerGF2, SpanTrackerModP, pack_gf2_rows, rank_gf2_packed
 from sumsetvc.sampling import SplitMix64
 
@@ -100,3 +100,28 @@ def test_span_tracker_modp_matches_matrix_rank():
             # every column reduces to zero once the span is built
             for j in range(cols):
                 assert tracker.contains(m.array[:, j])
+
+
+def test_modulus_boundary_for_exact_int64_products():
+    largest = 3037000493  # the largest prime p with p * p < 2**63
+    gen = SplitMix64(4)
+    for _ in range(20):
+        # u v^T with random 5x2 and 2x5 factors has rank 2 (all but surely)
+        u = [[gen.below(largest) for _ in range(2)] for _ in range(5)]
+        v = [[gen.below(largest) for _ in range(5)] for _ in range(2)]
+        rows = [
+            [(u[i][0] * v[0][j] + u[i][1] * v[1][j]) % largest for j in range(5)] for i in range(5)
+        ]
+        m = FieldMatrix.from_rows(largest, rows)
+        assert rank(m) == 2
+        tracker = SpanTrackerModP(largest, 5)
+        for j in range(5):
+            tracker.add(m.array[:, j])
+        assert tracker.rank == 2
+    too_large = 3037000507  # the next prime
+    with pytest.raises(ParameterError):
+        FieldMatrix.identity(too_large, 2)
+    with pytest.raises(ParameterError):
+        PointSet(too_large, 1, (0,))
+    with pytest.raises(ParameterError):
+        ReducedPolynomial.constant(too_large, 1, 1)

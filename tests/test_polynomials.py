@@ -123,3 +123,14 @@ def test_random_polynomial_is_seed_deterministic():
     assert a == b
     assert a != c
     assert a.degree() <= 4
+
+
+def test_values_on_cube_at_a_large_prime():
+    # exponents up to p - 1 at p = 65537: square-and-multiply, no p-by-p table
+    p = 65537
+    poly = ReducedPolynomial(p, 1, {(0,): 5, (1,): 7, (2,): p - 1, (12345,): 3, (p - 1,): 11})
+    cube = values_on_cube(poly)
+    assert cube.shape == (p,)
+    for x in range(0, p, 31):
+        assert cube[x] == poly.evaluate((x,))
+    assert cube[p - 1] == poly.evaluate((p - 1,))

@@ -157,6 +157,16 @@ def test_random_scan_validation():
         random_scan("psums", 3, 6, samples=5, seed=1)
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+def test_scans_reject_fewer_than_one_worker(workers):
+    with pytest.raises(ParameterError):
+        exhaustive_scan("sauer", 2, workers=workers)
+    with pytest.raises(ParameterError):
+        random_scan("sauer", 3, samples=5, seed=1, workers=workers)
+    with pytest.raises(ParameterError):
+        random_scan("clp_bound", 2, samples=5, seed=1, workers=workers)
+
+
 def test_random_scan_worker_invariant():
     seq = random_scan("sauer", 5, samples=64, seed=9)
     par = random_scan("sauer", 5, samples=64, seed=9, workers=2)
