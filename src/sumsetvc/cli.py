@@ -17,6 +17,7 @@ import io
 import json
 import sys
 import time
+from dataclasses import asdict
 
 import jsonschema
 
@@ -32,13 +33,13 @@ from .errors import ParameterError, SumsetVCError
 from .families import (
     FamilyKind,
     PointSet,
-    check_modulus,
     embed_01,
     family_from_points,
     format_family_text,
     generate_family,
     k_fold_sumset,
     pairwise_family,
+    parse_digits,
     parse_family_text,
 )
 from .interpolation import (
@@ -153,20 +154,37 @@ def _emit_json(doc: dict, out_path: str | None) -> None:
     _write_output(json.dumps(doc, indent=2) + "\n", out_path)
 
 
-def _csv_text(header: list[str], rows: list[list], comment: str | None = None) -> str:
+def _csv_text(rows: list[dict], comment: str | None = None) -> str:
+    """A header of the first row's keys, then one line per row; None becomes empty."""
     buf = io.StringIO()
     if comment:
         buf.write(f"# {comment}\n")
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+    writer.writerow(rows[0])
     for row in rows:
-        writer.writerow(["" if v is None else v for v in row])
+        writer.writerow(["" if v is None else v for v in row.values()])
     return buf.getvalue()
 
 
+def _key_values(payload: dict) -> str:
+    return " ".join(f"{key}={value}" for key, value in payload.items()) + "\n"
+
+
 def _read_family_file(path: str) -> PointSet:
-    with open(path) as fh:
-        return parse_family_text(fh.read())
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{path}: {exc}") from None
+    return parse_family_text(text)
+
+
+def _read_json(path: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError from the read
+        raise ParameterError(f"{path}: {exc}") from None
 
 
 def _read_binary_family(path: str):
@@ -177,11 +195,12 @@ def _read_binary_family(path: str):
 
 
 def _load_polynomial(path: str) -> ReducedPolynomial:
-    with open(path) as fh:
-        data = json.load(fh)
+    data = _read_json(path)
     try:
         return ReducedPolynomial.from_term_list(int(data["p"]), int(data["n"]), data["terms"])
-    except (KeyError, TypeError):
+    except ParameterError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError):
         raise ParameterError(
             f"{path}: expected a JSON object with fields p, n, terms"
         ) from None
@@ -233,12 +252,7 @@ def _handle_vcdim(args) -> int:
         return 0
     report = shattered_sets(family)
     if args.report is not None:
-        payload = {
-            "family_size": report.family_size,
-            "vc_dim": report.vc_dim,
-            "shattered_sets_by_level": [list(level) for level in report.shattered_sets_by_level],
-        }
-        _emit_json(_simple_envelope(args.command_echo, payload), args.report)
+        _emit_json(_simple_envelope(args.command_echo, asdict(report)), args.report)
     _write_output(f"{report.vc_dim}\n", args.out)
     return 0
 
@@ -246,16 +260,11 @@ def _handle_vcdim(args) -> int:
 def _handle_intdeg(args) -> int:
     points = _read_family_file(args.infile)
     if args.values is not None:
-        p = points.modulus
         if len(args.values) != len(points.points):
             raise ParameterError(
                 f"--values has {len(args.values)} digits for {len(points.points)} domain points"
             )
-        values = []
-        for ch in args.values:
-            if not ch.isdigit() or int(ch) >= p:
-                raise ParameterError(f"value digit {ch!r} out of range for p={p}")
-            values.append(int(ch))
+        values = parse_digits(args.values, points.modulus)
         result = deg_on_set(PartialFunction(points, tuple(values)))
     else:
         result = int_deg(points)
@@ -289,29 +298,17 @@ def _resolve_polynomial(args) -> ReducedPolynomial:
         return _load_polynomial(args.in_poly)
     if args.n is None or args.d is None:
         raise ParameterError("either --in-poly or both --n and --d are required")
-    check_modulus(args.p)
     return random_polynomial(args.p, args.n, args.d, SplitMix64(args.seed))
 
 
 def _handle_clp_rank(args) -> int:
     poly = _resolve_polynomial(args)
     report = verify_clp_bound(poly, point_limit=args.point_guard)
-    payload = {
-        "p": poly.modulus,
-        "n": poly.dimension,
-        "degree": report.degree,
-        "rank": report.rank,
-        "bound": report.bound,
-        "ok": report.ok,
-    }
-    doc = _simple_envelope(args.command_echo, payload)
     if args.format == "text":
-        _write_output(
-            f"degree={report.degree} rank={report.rank} bound={report.bound} ok={report.ok}\n",
-            args.out,
-        )
+        _write_output(_key_values(asdict(report)), args.out)
     else:
-        _emit_json(doc, args.out)
+        payload = {"p": poly.modulus, "n": poly.dimension, **asdict(report)}
+        _emit_json(_simple_envelope(args.command_echo, payload), args.out)
     return 0 if report.ok else 1
 
 
@@ -328,9 +325,7 @@ def _handle_slice_decompose(args) -> int:
             "p": tensor.modulus,
             "arity": tensor.arity,
             "shape": list(tensor.values.shape),
-            "is_diagonal": bounds.is_diagonal,
-            "lower_bound": bounds.lower_bound,
-            "nonzero_diagonal_count": bounds.nonzero_diagonal_count,
+            **asdict(bounds),
             "tensor_digest": tensor.content_digest(),
         }
         _emit_json(_simple_envelope(args.command_echo, payload), args.out)
@@ -364,33 +359,20 @@ def _handle_slice_decompose(args) -> int:
 def _verify_csv(doc: dict) -> str:
     params = doc["parameters"]
     ex = doc["extremes"] or {}
-    header = [
-        "theorem",
-        "n",
-        "p",
-        "mode",
-        "samples",
-        "seed",
-        "instances_checked",
-        "violation_count",
-        "extreme_lhs",
-        "extreme_rhs",
-        "extreme_ratio",
-    ]
-    row = [
-        doc["theorem"],
-        params.get("n"),
-        params.get("p"),
-        params.get("mode"),
-        params.get("samples"),
-        doc["seed"],
-        doc["instances_checked"],
-        len(doc["violations"]),
-        ex.get("lhs"),
-        ex.get("rhs"),
-        ex.get("ratio"),
-    ]
-    return _csv_text(header, [row])
+    row = {
+        "theorem": doc["theorem"],
+        "n": params.get("n"),
+        "p": params.get("p"),
+        "mode": params.get("mode"),
+        "samples": params.get("samples"),
+        "seed": doc["seed"],
+        "instances_checked": doc["instances_checked"],
+        "violation_count": len(doc["violations"]),
+        "extreme_lhs": ex.get("lhs"),
+        "extreme_rhs": ex.get("rhs"),
+        "extreme_ratio": ex.get("ratio"),
+    }
+    return _csv_text([row])
 
 
 def _handle_verify(args) -> int:
@@ -398,17 +380,11 @@ def _handle_verify(args) -> int:
         _emit_json(report_schema(), args.out)
         return 0
     if args.replay is not None:
-        with open(args.replay) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                print(f"error: {args.replay}: {exc}", file=sys.stderr)
-                return 2
+        doc = _read_json(args.replay)
         try:
             jsonschema.validate(doc, report_schema())
         except jsonschema.ValidationError as exc:
-            print(f"error: {args.replay}: {exc.message}", file=sys.stderr)
-            return 2
+            raise ParameterError(f"{args.replay}: {exc.message}") from None
         if doc["violations"]:
             print(
                 f"{len(doc['violations'])} violation(s) recorded in {args.replay}",
@@ -419,8 +395,7 @@ def _handle_verify(args) -> int:
         fields = report_schema()["required"]
         core = {key: doc[key] for key in fields[: fields.index("timing_ms")]}
         if _digest(core) != doc["content_digest"]:
-            print(f"error: {args.replay}: content_digest does not match the report", file=sys.stderr)
-            return 2
+            raise ParameterError(f"{args.replay}: content_digest does not match the report")
         return 0
     if args.theorem is None or args.n is None:
         raise ParameterError("verify requires --theorem and --n")
@@ -443,15 +418,7 @@ def _handle_verify(args) -> int:
             progress=progress,
         )
     timing_ms = (time.perf_counter() - started) * 1000.0 if args.timings else None
-    payload = {
-        "theorem": report.theorem,
-        "parameters": report.parameters,
-        "seed": report.seed,
-        "instances_checked": report.instances_checked,
-        "violations": report.violations,
-        "extremes": report.extremes,
-    }
-    doc = _simple_envelope(args.command_echo, payload, timing_ms)
+    doc = _simple_envelope(args.command_echo, asdict(report), timing_ms)
     if args.format == "csv":
         _write_output(_verify_csv(doc), args.out)
     else:
@@ -461,24 +428,11 @@ def _handle_verify(args) -> int:
 
 def _handle_demo(args) -> int:
     rep = counterexample_demo(args.op, args.n, args.d)
-    payload = {
-        "op": rep.op,
-        "n": rep.n,
-        "d": rep.d,
-        "family_size": rep.family_size,
-        "vc_star": rep.vc_star,
-        "half_bound": rep.half_bound,
-        "witness": rep.witness,
-    }
+    payload = asdict(rep)
     if args.format == "csv":
-        header = ["op", "n", "d", "family_size", "vc_star", "half_bound", "witness"]
-        _write_output(_csv_text(header, [[payload[h] for h in header]]), args.out)
+        _write_output(_csv_text([payload]), args.out)
     elif args.format == "text":
-        _write_output(
-            f"op={rep.op} n={rep.n} d={rep.d} family_size={rep.family_size} "
-            f"vc_star={rep.vc_star} half_bound={rep.half_bound} witness={rep.witness}\n",
-            args.out,
-        )
+        _write_output(_key_values(payload), args.out)
     else:
         _emit_json(_simple_envelope(args.command_echo, payload), args.out)
     return 0 if rep.witness else 1
@@ -488,47 +442,12 @@ def _handle_search(args) -> int:
     table = search_open_question(
         args.question, args.n, args.d, args.mode, budget=args.budget, seed=args.seed
     )
-    rows = [
-        {
-            "question": row.question,
-            "n": row.n,
-            "d": row.d,
-            "mode": row.mode,
-            "best_size": row.best_size,
-            "binom_bound": row.binom_bound,
-            "half_bound": row.half_bound,
-            "certificate": list(row.certificate),
-            "instances_examined": row.instances_examined,
-        }
-        for row in table.rows
-    ]
+    rows = [asdict(row) for row in table.rows]
     if args.format == "csv":
-        header = [
-            "question",
-            "n",
-            "d",
-            "mode",
-            "best_size",
-            "binom_bound",
-            "half_bound",
-            "instances_examined",
-            "certificate",
-        ]
-        csv_rows = [
-            [
-                r["question"],
-                r["n"],
-                r["d"],
-                r["mode"],
-                r["best_size"],
-                r["binom_bound"],
-                r["half_bound"],
-                r["instances_examined"],
-                ";".join(str(m) for m in r["certificate"]),
-            ]
-            for r in rows
-        ]
-        _write_output(_csv_text(header, csv_rows, comment=table.note), args.out)
+        for row in rows:
+            # the CSV joins the certificate with ';' and moves it to the last column
+            row["certificate"] = ";".join(str(m) for m in row.pop("certificate"))
+        _write_output(_csv_text(rows, comment=table.note), args.out)
     else:
         _emit_json(_simple_envelope(args.command_echo, {"note": table.note, "rows": rows}), args.out)
     return 0

@@ -32,6 +32,8 @@ from .polynomials import (
     _cube_digits,
     monomial_count,
     monomial_values,
+    point_digits,
+    values_at,
     values_on_cube,
 )
 
@@ -274,7 +276,7 @@ def sum_tensor(
     for _ in range(k - 1):
         acc = add_points(acc[..., None], pts, p, n)
     distinct, inverse = np.unique(acc, return_inverse=True)
-    fvals = np.array([f.evaluate_encoded(int(s)) for s in distinct], dtype=np.int64)
+    fvals = values_at(f, point_digits(distinct, p, n))
     values = fvals[inverse].reshape(acc.shape)
     values.setflags(write=False)
     return SumTensor(p, k, points, values, f)

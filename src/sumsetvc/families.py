@@ -21,8 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 from itertools import combinations
 from typing import Iterable
+
+import numpy as np
 
 from .errors import (
     DimensionMismatchError,
@@ -35,6 +38,10 @@ from .sampling import SplitMix64, sample_distinct
 # p**n beyond this no longer fits an exactly-representable single word key.
 ENCODING_LIMIT = 1 << 48
 
+# k_fold_sumset adds at most this many pairs per array, so its memory stays
+# linear in the output however large |A| * |(k-1).A| grows.
+SUMSET_CHUNK = 1 << 20
+
 PAIRWISE_OPS = ("sym_diff", "intersect", "union")
 
 _PAIRWISE_FN = {
@@ -44,8 +51,9 @@ _PAIRWISE_FN = {
 }
 
 
+@lru_cache(maxsize=256)
 def is_prime(m: int) -> bool:
-    """Trial-division primality test; moduli here are desk-scale."""
+    """Trial-division primality test, memoized: every modulus check repeats it."""
     if m < 2:
         return False
     if m < 4:
@@ -286,15 +294,22 @@ def k_fold_sumset(a: PointSet, k: int) -> PointSet:
 
     Computed by iterated accumulation (k.A = A + (k-1).A as sets), deduplicating
     after every step; exact and far cheaper than enumerating all |A|**k tuples.
+    Each step sums the pairs in arrays of at most SUMSET_CHUNK entries.
     """
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     a.require_nonempty("k_fold_sumset")
     p, n = a.modulus, a.dimension
-    acc = set(a.points)
+    points = np.array(a.points, dtype=np.int64)
+    acc = points
+    rows = max(1, SUMSET_CHUNK // len(points))
     for _ in range(k - 1):
-        acc = {add_points(x, s, p, n) for x in a.points for s in acc}
-    return PointSet(p, n, tuple(sorted(acc)))
+        chunks = (
+            add_points(acc[i : i + rows, None], points, p, n).ravel()
+            for i in range(0, len(acc), rows)
+        )
+        acc = reduce(np.union1d, chunks, np.empty(0, dtype=np.int64))
+    return PointSet(p, n, tuple(acc.tolist()))
 
 
 def embed_01(a: SetFamily, p: int) -> PointSet:
@@ -334,6 +349,15 @@ def format_family_text(points: PointSet) -> str:
     return "\n".join(lines) + "\n"
 
 
+def parse_digits(text: str, p: int) -> list[int]:
+    """The characters of text as digits; each must be an ASCII digit below p."""
+    allowed = "0123456789"[:p]
+    for ch in text:
+        if ch not in allowed:
+            raise ParameterError(f"digit {ch!r} out of range for p={p}")
+    return [int(ch) for ch in text]
+
+
 def parse_family_text(text: str) -> PointSet:
     """Parse the family text format; errors carry the offending line number."""
     header: tuple[int, int] | None = None
@@ -368,11 +392,10 @@ def parse_family_text(text: str) -> PointSet:
         n, p = header
         if len(line) != n:
             raise FamilyFormatError(f"expected {n} digits, got {len(line)}", lineno)
-        digits = []
-        for ch in line:
-            if not ch.isdigit() or int(ch) >= p:
-                raise FamilyFormatError(f"digit {ch!r} out of range for p={p}", lineno)
-            digits.append(int(ch))
+        try:
+            digits = parse_digits(line, p)
+        except ParameterError as exc:
+            raise FamilyFormatError(str(exc), lineno) from None
         points.append(encode_point(digits, p))
     if header is None:
         raise FamilyFormatError("missing header line 'n=<int> p=<int>'", last_line or 1)

@@ -104,20 +104,11 @@ def _rank_generic(array: np.ndarray, p: int) -> int:
     return r
 
 
-def rank(matrix: FieldMatrix, *, path: str = "auto") -> int:
-    """Exact rank over F_p.
-
-    path: "auto" picks the packed kernel for p=2 and the generic modular
-    elimination otherwise; "packed" and "generic" force one side (the
-    packed path requires p=2).
-    """
-    if path not in ("auto", "packed", "generic"):
-        raise ParameterError(f"unknown rank path {path!r}")
-    if path == "packed" and matrix.modulus != 2:
-        raise ParameterError("packed rank path requires p = 2")
-    if path == "generic" or (path == "auto" and matrix.modulus != 2):
-        return _rank_generic(matrix.array, matrix.modulus)
-    return rank_gf2_packed(pack_gf2_rows(matrix))
+def rank(matrix: FieldMatrix) -> int:
+    """Exact rank over F_p: the packed kernel for p=2, modular elimination otherwise."""
+    if matrix.modulus == 2:
+        return rank_gf2_packed(pack_gf2_rows(matrix))
+    return _rank_generic(matrix.array, matrix.modulus)
 
 
 class SpanTrackerGF2:

@@ -310,14 +310,19 @@ def monomial_values(
     return out
 
 
+def values_at(poly: ReducedPolynomial, digits: Sequence[np.ndarray]) -> np.ndarray:
+    """Evaluate at every point of the digit columns (see point_digits)."""
+    p = poly.modulus
+    out = np.zeros(len(digits[0]), dtype=np.int64)
+    for expvec, coeff in poly.terms.items():
+        out += monomial_values(digits, expvec, p, coeff)
+    return out % p
+
+
 def values_on_cube(poly: ReducedPolynomial) -> np.ndarray:
     """Evaluate at every point of F_p^n, indexed by encoded point value."""
     p, n = poly.modulus, poly.dimension
     size = p**n
     if size > CUBE_MATERIALIZE_LIMIT:
         raise ResourceLimitError(f"refusing to materialize {size} cube points")
-    digits = _cube_digits(p, n)
-    out = np.zeros(size, dtype=np.int64)
-    for expvec, coeff in poly.terms.items():
-        out += monomial_values(digits, expvec, p, coeff)
-    return out % p
+    return values_at(poly, _cube_digits(p, n))

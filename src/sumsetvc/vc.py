@@ -38,26 +38,26 @@ def is_shattered(family: SetFamily, candidate: int) -> bool:
     return _is_shattered_masks(family.members, candidate)
 
 
-def _next_level(members: tuple[int, ...], n: int, frontier: list[int]) -> list[int]:
-    found = []
-    for y in frontier:
-        for j in range(y.bit_length(), n):
-            cand = y | (1 << j)
-            if _is_shattered_masks(members, cand):
-                found.append(cand)
-    found.sort()
-    return found
+def _levels(members: tuple[int, ...], n: int):
+    """Yield the shattered sets of size 1, 2, ... level by level, each sorted ascending."""
+    frontier = [0]
+    while True:
+        found = []
+        for y in frontier:
+            for j in range(y.bit_length(), n):
+                cand = y | (1 << j)
+                if _is_shattered_masks(members, cand):
+                    found.append(cand)
+        if not found:
+            return
+        found.sort()
+        yield found
+        frontier = found
 
 
 @lru_cache(maxsize=1 << 18)
 def _vc_dim_masks(members: tuple[int, ...], n: int) -> int:
-    frontier = [0]
-    depth = 0
-    while True:
-        frontier = _next_level(members, n, frontier)
-        if not frontier:
-            return depth
-        depth += 1
+    return sum(1 for _ in _levels(members, n))
 
 
 def vc_dim(family: SetFamily) -> int:
@@ -72,14 +72,7 @@ def vc_dim(family: SetFamily) -> int:
 def shattered_sets(family: SetFamily) -> ShatterReport:
     """All shattered sets, grouped by size; downward closed by construction."""
     family.require_nonempty("shattered_sets")
-    n = family.ground_size
-    levels: list[tuple[int, ...]] = [(0,)]
-    frontier = [0]
-    while True:
-        frontier = _next_level(family.members, n, frontier)
-        if not frontier:
-            break
-        levels.append(tuple(frontier))
+    levels = [(0,), *map(tuple, _levels(family.members, family.ground_size))]
     return ShatterReport(
         family_size=len(family),
         vc_dim=len(levels) - 1,

@@ -2,6 +2,7 @@ import hashlib
 import json
 
 import jsonschema
+import pytest
 
 import sumsetvc
 from sumsetvc.cli import OPERATION_COVERAGE, build_parser, report_schema, run
@@ -342,6 +343,95 @@ def test_search_json_and_csv(capsys):
         "question,n,d,mode,best_size,binom_bound,half_bound,instances_examined,certificate"
     )
     assert lines[2].startswith("q2,3,3,exhaustive,8,")
+
+
+# --- report layout ---------------------------------------------------------------------
+
+ENVELOPE_HEAD = ["tool_version", "command_echo"]
+ENVELOPE_TAIL = ["timing_ms", "content_digest"]
+
+
+def test_report_key_order_and_text_lines(tmp_path, capsys):
+    def keys(*argv):
+        assert run_cli(*argv) in (0, 1)
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc)[:2] == ENVELOPE_HEAD and list(doc)[-2:] == ENVELOPE_TAIL
+        return doc, list(doc)[2:-2]
+
+    fam = write_family(tmp_path, "f.txt", "n=3 p=2\n000\n110\n011\n")
+    report = tmp_path / "report.json"
+    assert run_cli("vcdim", "--in", fam, "--report", str(report)) == 0
+    capsys.readouterr()
+    doc = json.loads(report.read_text())
+    assert list(doc) == [*ENVELOPE_HEAD, "family_size", "vc_dim", "shattered_sets_by_level",
+                         *ENVELOPE_TAIL]
+    assert doc["shattered_sets_by_level"] == [[0], [1, 2, 4]]
+
+    _, clp_keys = keys("clp-rank", "--p", "2", "--n", "4", "--d", "2", "--seed", "1")
+    assert clp_keys == ["p", "n", "degree", "rank", "bound", "ok"]
+
+    _, tensor_keys = keys("slice-decompose", "--tensor-family", fam, "--k", "2")
+    assert tensor_keys == ["p", "arity", "shape", "is_diagonal", "lower_bound",
+                           "nonzero_diagonal_count", "tensor_digest"]
+
+    _, verify_keys = keys("verify", "--theorem", "sauer", "--n", "2", "--no-progress")
+    assert verify_keys == ["theorem", "parameters", "seed", "instances_checked", "violations",
+                           "extremes"]
+
+    _, demo_keys = keys("demo-counterexample", "--op", "union", "--n", "8", "--d", "3")
+    assert demo_keys == ["op", "n", "d", "family_size", "vc_star", "half_bound", "witness"]
+
+    doc, search_keys = keys("search", "--question", "q2", "--n", "3", "--d", "3")
+    assert search_keys == ["note", "rows"]
+    assert list(doc["rows"][0]) == ["question", "n", "d", "mode", "best_size", "binom_bound",
+                                    "half_bound", "certificate", "instances_examined"]
+    assert doc["rows"][0]["certificate"] == list(range(8))
+
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps({"p": 2, "n": 2, "terms": ["1:1,1"]}))
+    assert run_cli("clp-rank", "--in-poly", str(poly), "--format", "text") == 0
+    assert capsys.readouterr().out == "degree=2 rank=4 bound=6 ok=True\n"
+    assert run_cli(
+        "demo-counterexample", "--op", "union", "--n", "8", "--d", "3", "--format", "text"
+    ) == 0
+    assert capsys.readouterr().out == (
+        "op=union n=8 d=3 family_size=93 vc_star=3 half_bound=18 witness=True\n"
+    )
+
+
+# --- malformed input ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "content, argv",
+    [
+        pytest.param("n=2 p=3\n0\u00b2\n".encode(), ["vcdim", "--in", "{}"],
+                     id="family-superscript-digit"),
+        pytest.param(b"n=1 p=2\n0\n1\n", ["intdeg", "--in", "{}", "--values", "0\u00b2"],
+                     id="values-superscript-digit"),
+        pytest.param(b"n=2 p=2\n0\xff\n", ["vcdim", "--in", "{}"], id="family-not-utf8"),
+        pytest.param(b"{", ["clp-rank", "--in-poly", "{}"], id="poly-not-json"),
+        pytest.param(b'{"p": "x", "n": 2, "terms": []}', ["clp-rank", "--in-poly", "{}"],
+                     id="poly-p-not-int"),
+        pytest.param(b'{"p": 2, "n": 2, "terms": [5]}', ["clp-rank", "--in-poly", "{}"],
+                     id="poly-term-not-text"),
+        pytest.param(b"\xff", ["verify", "--replay", "{}"], id="replay-not-utf8"),
+    ],
+)
+def test_malformed_input_exits_2(tmp_path, capsys, content, argv):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    assert run_cli(*[arg.format(path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_polynomial_file_keeps_term_errors(tmp_path, capsys):
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps({"p": 2, "n": 2, "terms": ["1:1"]}))
+    assert run_cli("clp-rank", "--in-poly", str(path)) == 2
+    assert "exponent vector (1,) has length 1, expected 2" in capsys.readouterr().err
 
 
 # --- coverage of library operations ------------------------------------------------

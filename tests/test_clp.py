@@ -195,6 +195,20 @@ def test_sum_tensor_diagonal_3fold_p3():
     assert rep.lower_bound == rep.nonzero_diagonal_count == 4
 
 
+def test_sum_tensor_entries_match_pointwise_evaluation():
+    from sumsetvc.families import add_points
+
+    gen = SplitMix64(178)
+    poly = random_polynomial(5, 2, 4, gen)
+    pts = PointSet.from_points(5, 2, sample_distinct(25, 6, gen))
+    t = sum_tensor(poly, pts, 3)
+    for i, a in enumerate(pts.points):
+        for j, b in enumerate(pts.points):
+            for k, c in enumerate(pts.points):
+                total = add_points(add_points(a, b, 5, 2), c, 5, 2)
+                assert t.values[i, j, k] == poly.evaluate_encoded(total)
+
+
 def test_sum_tensor_guards_and_mismatch():
     pts = PointSet.from_points(2, 2, [0, 1])
     with pytest.raises(ResourceLimitError):

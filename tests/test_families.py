@@ -20,7 +20,15 @@ from sumsetvc import (
     pairwise_family,
     parse_family_text,
 )
-from sumsetvc.families import add_points, decode_point, encode_point
+from sumsetvc import families
+from sumsetvc.families import (
+    add_points,
+    check_modulus,
+    decode_point,
+    encode_point,
+    is_prime,
+    parse_digits,
+)
 
 from oracles import naive_k_fold, naive_pairwise
 
@@ -73,6 +81,13 @@ def test_point_set_validation():
         PointSet(2, 50, (0,))  # encoding guard
     ps = PointSet.from_points(3, 2, [4, 0, 4])
     assert ps.points == (0, 4)
+
+
+def test_repeated_modulus_check_is_a_cache_hit():
+    check_modulus(3037000493)
+    hits = is_prime.cache_info().hits
+    check_modulus(3037000493)
+    assert is_prime.cache_info().hits == hits + 1
 
 
 def test_empty_family_is_constructible_but_rejected():
@@ -166,6 +181,13 @@ def test_k_fold_matches_enumeration_oracle():
         assert k_fold_sumset(pts, k).points == naive_k_fold(pts.points, 3, 2, k)
     pts2 = PointSet.from_points(5, 2, [0, 6, 7])
     assert k_fold_sumset(pts2, 3).points == naive_k_fold(pts2.points, 5, 2, 3)
+
+
+def test_k_fold_in_small_chunks_matches_enumeration_oracle(monkeypatch):
+    monkeypatch.setattr(families, "SUMSET_CHUNK", 7)
+    pts = PointSet.from_points(3, 3, [1, 3, 4, 11, 20, 26])
+    for k in (2, 3):
+        assert k_fold_sumset(pts, k).points == naive_k_fold(pts.points, 3, 3, k)
 
 
 def test_add_points_broadcasts_over_arrays():
@@ -292,6 +314,17 @@ def test_text_format_errors_carry_line_numbers():
         parse_family_text("")
     with pytest.raises(FamilyFormatError):
         parse_family_text("n=2 p=11\n")
+    with pytest.raises(FamilyFormatError) as exc:
+        parse_family_text("n=2 p=3\n0\u00b2\n")  # str.isdigit accepts the superscript
+    assert exc.value.line_number == 2
+
+
+def test_parse_digits_accepts_only_ascii_digits_below_p():
+    assert parse_digits("0120", 3) == [0, 1, 2, 0]
+    assert parse_digits("", 2) == []
+    for bad in ("2", "\u00b2", "\u0661", "-", " "):
+        with pytest.raises(ParameterError):
+            parse_digits(bad, 2)
 
 
 @settings(max_examples=40, deadline=None)

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from sumsetvc import FieldMatrix, ParameterError, PointSet, ReducedPolynomial, rank
-from sumsetvc.linalg import SpanTrackerGF2, SpanTrackerModP, pack_gf2_rows, rank_gf2_packed
+from sumsetvc.linalg import (
+    SpanTrackerGF2,
+    SpanTrackerModP,
+    _rank_generic,
+    pack_gf2_rows,
+    rank_gf2_packed,
+)
 from sumsetvc.sampling import SplitMix64
 
 
@@ -37,11 +43,8 @@ def test_matrix_validation():
 
 
 def test_packed_path_requires_p2():
-    m = FieldMatrix.identity(3, 2)
     with pytest.raises(ParameterError):
-        rank(m, path="packed")
-    with pytest.raises(ParameterError):
-        rank(m, path="nonsense")
+        pack_gf2_rows(FieldMatrix.identity(3, 2))
 
 
 def test_packed_equals_generic_on_seeded_matrices():
@@ -50,7 +53,7 @@ def test_packed_equals_generic_on_seeded_matrices():
         rows = 1 + gen.below(24)
         cols = 1 + gen.below(24)
         m = random_matrix(2, rows, cols, gen)
-        assert rank(m, path="packed") == rank(m, path="generic")
+        assert rank_gf2_packed(pack_gf2_rows(m)) == _rank_generic(m.array, 2)
 
 
 def test_rank_invariant_under_row_permutation_and_transpose():
