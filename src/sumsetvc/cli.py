@@ -23,6 +23,9 @@ import jsonschema
 
 from . import __version__
 from .clp import (
+    DEFAULT_ENTRY_LIMIT,
+    DEFAULT_GRID_LIMIT,
+    DEFAULT_POINT_LIMIT,
     diagonal_slice_rank_bounds,
     reconstruction_matches,
     slice_decompose,
@@ -197,7 +200,11 @@ def _read_binary_family(path: str):
 def _load_polynomial(path: str) -> ReducedPolynomial:
     data = _read_json(path)
     try:
-        return ReducedPolynomial.from_term_list(int(data["p"]), int(data["n"]), data["terms"])
+        p, n = data["p"], data["n"]
+        # JSON integers only: int() would truncate 2.9 and read true as 1
+        if type(p) is not int or type(n) is not int:
+            raise TypeError
+        return ReducedPolynomial.from_term_list(p, n, data["terms"])
     except ParameterError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError):
@@ -507,7 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
     clp.add_argument("--d", type=int, default=None, help="degree bound for a random polynomial")
     clp.add_argument("--seed", type=int, default=0)
     clp.add_argument("--in-poly", default=None, help="JSON polynomial file instead of random")
-    clp.add_argument("--point-guard", type=int, default=4096, help="maximum p**n (matrix side)")
+    clp.add_argument("--point-guard", type=int, default=DEFAULT_POINT_LIMIT,
+                     help="maximum p**n (matrix side)")
     clp.add_argument("--format", choices=["json", "text"], default="json")
     clp.add_argument("--out", default=None)
     clp.set_defaults(handler=_handle_clp_rank)
@@ -524,8 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
     sld.add_argument("--tensor-family", default=None,
                      help="family file: build the k-fold sum tensor over it (default generator: "
                      "indicator of the zero vector)")
-    sld.add_argument("--grid-guard", type=int, default=1 << 24)
-    sld.add_argument("--entry-guard", type=int, default=1 << 24)
+    sld.add_argument("--grid-guard", type=int, default=DEFAULT_GRID_LIMIT)
+    sld.add_argument("--entry-guard", type=int, default=DEFAULT_ENTRY_LIMIT)
     sld.add_argument("--out", default=None)
     sld.set_defaults(handler=_handle_slice_decompose)
 

@@ -109,21 +109,24 @@ EVIDENCE_NOTE = (
 )
 
 
-def _family_instance(family: SetFamily) -> dict:
-    return {"kind": "family", "n": family.ground_size, "members": list(family.members)}
-
-
-def _poly_instance(poly: ReducedPolynomial) -> dict:
+def _instance_dict(instance: SetFamily | ReducedPolynomial) -> dict:
+    if isinstance(instance, SetFamily):
+        return {"kind": "family", "n": instance.ground_size, "members": list(instance.members)}
     return {
         "kind": "polynomial",
-        "p": poly.modulus,
-        "n": poly.dimension,
-        "terms": poly.to_term_list(),
+        "p": instance.modulus,
+        "n": instance.dimension,
+        "terms": instance.to_term_list(),
     }
 
 
-def _instance_inequality(theorem: TheoremId, family: SetFamily, p: int | None) -> tuple[int, int]:
-    """(lhs, rhs) of the instance-level inequality lhs <= rhs."""
+def _instance_inequality(theorem: TheoremId, instance, p: int | None) -> tuple[int, int]:
+    """(lhs, rhs) of the instance-level inequality lhs <= rhs; the instance is
+    a polynomial for CLP_BOUND and a family for every other theorem."""
+    if theorem is TheoremId.CLP_BOUND:
+        report = verify_clp_bound(instance)
+        return report.rank, report.bound
+    family = instance
     n = family.ground_size
     if theorem is TheoremId.SAUER:
         return len(family), binom_sum(n, vc_dim(family))
@@ -138,22 +141,22 @@ def _instance_inequality(theorem: TheoremId, family: SetFamily, p: int | None) -
     if theorem is TheoremId.PSUMS:
         if p is None:
             raise ParameterError("psums requires a prime modulus p")
-        check_modulus(p)
         e = int_deg(k_fold_sumset(embed_01(family, p), p))
         return len(family), p * monomial_count(p, n, e // p)
-    if theorem is TheoremId.VC_MONOTONE:
-        lhs = vc_dim(family)
-        rhs = min(vc_dim(pairwise_family(family, family, op)) for op in ("sym_diff", "intersect", "union"))
-        return lhs, rhs
-    raise ParameterError(
-        "clp_bound instances are polynomials, not families; use the scan harnesses or verify_clp_bound"
-    )
+    # TheoremId.VC_MONOTONE
+    lhs = vc_dim(family)
+    rhs = min(vc_dim(pairwise_family(family, family, op)) for op in ("sym_diff", "intersect", "union"))
+    return lhs, rhs
 
 
 def check_instance(theorem, family: SetFamily, p: int | None = None) -> bool:
     """Evaluate one theorem instance; True means the inequality holds."""
     theorem = _coerce_theorem(theorem)
     family.require_nonempty("check_instance")
+    if theorem is TheoremId.CLP_BOUND:
+        raise ParameterError(
+            "clp_bound instances are polynomials, not families; use the scan harnesses or verify_clp_bound"
+        )
     lhs, rhs = _instance_inequality(theorem, family, p)
     return lhs <= rhs
 
@@ -216,38 +219,48 @@ def _poly_from_coeff_mask(coeff_mask: int, n: int) -> ReducedPolynomial:
     return ReducedPolynomial(2, n, terms)
 
 
-def _check_families(theorem: TheoremId, p: int | None, families) -> _ScanState:
+def _check(theorem: TheoremId, p: int | None, instances) -> _ScanState:
     state = _ScanState()
-    for family in families:
-        lhs, rhs = _instance_inequality(theorem, family, p)
-        state.record(_family_instance(family), lhs, rhs)
+    for instance in instances:
+        lhs, rhs = _instance_inequality(theorem, instance, p)
+        state.record(_instance_dict(instance), lhs, rhs)
     return state
 
 
-def _check_polys(polys) -> _ScanState:
-    state = _ScanState()
-    for poly in polys:
-        report = verify_clp_bound(poly)
-        state.record(_poly_instance(poly), report.rank, report.bound)
-    return state
+def _require_positive_n(n: int) -> None:
+    if n < 1:
+        raise ParameterError(f"n must be >= 1, got {n}")
 
 
-def _run_chunks(worker, chunks, workers: int, progress=None, total: int | None = None) -> _ScanState:
-    """Merge worker(*args) over the chunk argument tuples, in chunk order."""
+def _scan(
+    theorem: TheoremId, parameters: dict, seed, chunks, total: int, workers: int, progress
+) -> VerificationReport:
+    """Check the chunks of instances, inline or in a pool of `workers`
+    processes, and merge them in chunk order into one report."""
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers}")
+    p = parameters["p"]
+    if p is not None:
+        check_modulus(p)
     state = _ScanState()
     with ExitStack() as stack:
         if workers > 1:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            partials = pool.map(worker, *zip(*chunks))
+            partials = pool.map(_check, repeat(theorem), repeat(p), chunks)
         else:
-            partials = (worker(*args) for args in chunks)
+            partials = (_check(theorem, p, chunk) for chunk in chunks)
         for partial in partials:
             state.merge(partial)
             if progress is not None:
                 progress(state.count, total)
-    return state
+    return VerificationReport(
+        theorem=theorem.value,
+        parameters=parameters,
+        seed=seed,
+        instances_checked=state.count,
+        violations=state.violations,
+        extremes=state.extreme[1] if state.extreme else None,
+    )
 
 
 def exhaustive_scan(
@@ -263,8 +276,7 @@ def exhaustive_scan(
     run concurrently and report progress; the merged report is deterministic.
     """
     theorem = _coerce_theorem(theorem)
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
+    _require_positive_n(n)
     if n > EXHAUSTIVE_MAX_N:
         raise ResourceLimitError(
             f"exhaustive scan over n = {n} enumerates 2**{1 << n} instances; use random_scan"
@@ -274,30 +286,13 @@ def exhaustive_scan(
             raise ResourceLimitError(
                 "exhaustive polynomial enumeration is tractable over F_2 only; use random_scan"
             )
-        # lazy maps: instances are built one at a time, where the chunk runs
-        masks = range(1 << (1 << n))
-        chunks = (
-            (map(_poly_from_coeff_mask, masks[start : start + CHUNK], repeat(n)),)
-            for start in range(0, len(masks), CHUNK)
-        )
-        state = _run_chunks(_check_polys, chunks, workers, progress, len(masks))
-        parameters = {"n": n, "p": 2, "mode": "exhaustive", "samples": None}
+        p, make, keys = 2, _poly_from_coeff_mask, range(1 << (1 << n))
     else:
-        chars = range(1, 1 << (1 << n))
-        chunks = (
-            (theorem, p, map(_family_from_char, chars[start : start + CHUNK], repeat(n)))
-            for start in range(0, len(chars), CHUNK)
-        )
-        state = _run_chunks(_check_families, chunks, workers, progress, len(chars))
-        parameters = {"n": n, "p": p, "mode": "exhaustive", "samples": None}
-    return VerificationReport(
-        theorem=theorem.value,
-        parameters=parameters,
-        seed=None,
-        instances_checked=state.count,
-        violations=state.violations,
-        extremes=state.extreme[1] if state.extreme else None,
-    )
+        make, keys = _family_from_char, range(1, 1 << (1 << n))
+    # lazy maps: instances are built one at a time, where the chunk runs
+    chunks = (map(make, keys[start : start + CHUNK], repeat(n)) for start in range(0, len(keys), CHUNK))
+    parameters = {"n": n, "p": p, "mode": "exhaustive", "samples": None}
+    return _scan(theorem, parameters, None, chunks, len(keys), workers, progress)
 
 
 def random_scan(
@@ -315,38 +310,24 @@ def random_scan(
     (target degrees cycle through 0..(p-1)*n). Reproducible given the seed.
     """
     theorem = _coerce_theorem(theorem)
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
+    _require_positive_n(n)
     if samples < 1:
         raise ParameterError(f"samples must be >= 1, got {samples}")
     gen = SplitMix64(seed)
     if theorem is TheoremId.CLP_BOUND:
-        modulus = 2 if p is None else p
-        check_modulus(modulus)
-        dmax = (modulus - 1) * n
-        polys = [random_polynomial(modulus, n, i % (dmax + 1), gen) for i in range(samples)]
-        chunks = ((polys[start : start + CHUNK],) for start in range(0, samples, CHUNK))
-        state = _run_chunks(_check_polys, chunks, workers, progress, samples)
-        parameters = {"n": n, "p": modulus, "mode": "random", "samples": samples}
+        p = 2 if p is None else p
+        check_modulus(p)  # before p sizes the degree cycle: p=0, n=1 would divide by zero
+        dmax = (p - 1) * n
+        instances = [random_polynomial(p, n, i % (dmax + 1), gen) for i in range(samples)]
     else:
         universe = 1 << n
-        families = []
-        for _ in range(samples):
-            size = 1 + gen.below(universe)
-            families.append(SetFamily(n, tuple(sample_distinct(universe, size, gen))))
-        chunks = (
-            (theorem, p, families[start : start + CHUNK]) for start in range(0, samples, CHUNK)
-        )
-        state = _run_chunks(_check_families, chunks, workers, progress, samples)
-        parameters = {"n": n, "p": p, "mode": "random", "samples": samples}
-    return VerificationReport(
-        theorem=theorem.value,
-        parameters=parameters,
-        seed=seed,
-        instances_checked=state.count,
-        violations=state.violations,
-        extremes=state.extreme[1] if state.extreme else None,
-    )
+        instances = [
+            SetFamily(n, tuple(sample_distinct(universe, 1 + gen.below(universe), gen)))
+            for _ in range(samples)
+        ]
+    chunks = (instances[start : start + CHUNK] for start in range(0, samples, CHUNK))
+    parameters = {"n": n, "p": p, "mode": "random", "samples": samples}
+    return _scan(theorem, parameters, seed, chunks, samples, workers, progress)
 
 
 def counterexample_demo(op: str, n: int, d: int) -> CounterexampleReport:
@@ -475,6 +456,7 @@ def search_open_question(
         raise ParameterError(f"unknown question {question!r}; expected q1 or q2")
     if d < 0:
         raise ParameterError(f"d must be nonnegative, got {d}")
+    _require_positive_n(n)
     if mode == "exhaustive":
         if n > EXHAUSTIVE_MAX_N:
             raise ResourceLimitError(

@@ -52,6 +52,23 @@ def naive_pairwise(a_members, b_members, op: str) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
+def naive_rank(rows, p: int) -> int:
+    """Rank over F_p by row reduction on lists of Python ints (no numpy)."""
+    m = [[int(x) % p for x in row] for row in rows]
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        for i in range(r + 1, len(m)):
+            # m[i] <- m[r][c] * m[i] - m[i][c] * m[r] clears column c without an inverse
+            a, b = m[r][c], m[i][c]
+            m[i] = [(a * x - b * y) % p for x, y in zip(m[i], m[r])]
+        r += 1
+    return r
+
+
 def naive_k_fold(points, p: int, n: int, k: int) -> tuple[int, ...]:
     """Full |A|^k enumeration of ordered k-tuples, digitwise sums mod p."""
     out = set()

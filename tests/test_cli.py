@@ -415,6 +415,14 @@ def test_report_key_order_and_text_lines(tmp_path, capsys):
                      id="poly-p-not-int"),
         pytest.param(b'{"p": 2, "n": 2, "terms": [5]}', ["clp-rank", "--in-poly", "{}"],
                      id="poly-term-not-text"),
+        pytest.param(b'{"p": 2.9, "n": 2, "terms": ["1:1,1"]}', ["clp-rank", "--in-poly", "{}"],
+                     id="poly-p-float"),
+        pytest.param(b'{"p": 2, "n": true, "terms": ["1:1"]}', ["clp-rank", "--in-poly", "{}"],
+                     id="poly-n-bool"),
+        pytest.param(b"", ["search", "--question", "q1", "--n", "-1", "--d", "1"],
+                     id="search-negative-n"),
+        pytest.param(b"", ["verify", "--theorem", "main", "--n", "3", "--p", "4"],
+                     id="verify-p-not-prime"),
         pytest.param(b"\xff", ["verify", "--replay", "{}"], id="replay-not-utf8"),
     ],
 )

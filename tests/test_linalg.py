@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sumsetvc import FieldMatrix, ParameterError, PointSet, ReducedPolynomial, rank
+from sumsetvc.families import encode_point
 from sumsetvc.linalg import (
     SpanTrackerGF2,
     SpanTrackerModP,
@@ -9,7 +12,10 @@ from sumsetvc.linalg import (
     pack_gf2_rows,
     rank_gf2_packed,
 )
+from sumsetvc.polynomials import CUBE_MATERIALIZE_LIMIT, values_at, values_on_cube
 from sumsetvc.sampling import SplitMix64
+
+from oracles import naive_rank
 
 
 def random_matrix(p, rows, cols, gen):
@@ -128,3 +134,36 @@ def test_modulus_boundary_for_exact_int64_products():
         PointSet(too_large, 1, (0,))
     with pytest.raises(ParameterError):
         ReducedPolynomial.constant(too_large, 1, 1)
+
+
+ORACLE_PRIMES = (2, 3, 5, 7, 65537, 2147483647, 3037000493)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_kernels_match_oracles_at_random_primes(data):
+    p = data.draw(st.sampled_from(ORACLE_PRIMES), label="p")
+    residues = st.integers(0, p - 1)
+    # a product of rows x k and k x cols factors, so ranks below full occur at every p
+    rows, k, cols = (data.draw(st.integers(1, 5)) for _ in range(3))
+    u = data.draw(st.lists(st.lists(residues, min_size=k, max_size=k), min_size=rows, max_size=rows))
+    v = data.draw(st.lists(st.lists(residues, min_size=cols, max_size=cols), min_size=k, max_size=k))
+    matrix = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*v)] for row in u]
+    expected = naive_rank(matrix, p)
+    m = FieldMatrix.from_rows(p, matrix)
+    assert rank(m) == expected
+    tracker = SpanTrackerModP(p, rows)
+    for j in range(cols):
+        tracker.add(m.array[:, j])
+    assert tracker.rank == expected
+
+    n = data.draw(st.integers(1, 2), label="n")
+    vectors = st.tuples(*[residues] * n)
+    poly = ReducedPolynomial(p, n, data.draw(st.dictionaries(vectors, residues, max_size=4)))
+    points = data.draw(st.lists(vectors, min_size=1, max_size=6))
+    values = [poly.evaluate(point) for point in points]
+    columns = [np.array(column, dtype=np.int64) for column in zip(*points)]
+    assert values_at(poly, columns).tolist() == values
+    if p**n <= CUBE_MATERIALIZE_LIMIT:
+        cube = values_on_cube(poly)
+        assert [int(cube[encode_point(point, p)]) for point in points] == values

@@ -167,6 +167,15 @@ def test_scans_reject_fewer_than_one_worker(workers):
         random_scan("clp_bound", 2, samples=5, seed=1, workers=workers)
 
 
+def test_scans_reject_a_modulus_that_is_not_prime():
+    with pytest.raises(ParameterError, match="modulus must be prime, got 4"):
+        exhaustive_scan("main", 3, p=4)
+    with pytest.raises(ParameterError, match="modulus must be prime, got 6"):
+        random_scan("sauer", 3, p=6, samples=2)
+    with pytest.raises(ParameterError, match="modulus must be prime, got 0"):
+        random_scan("clp_bound", 1, p=0, samples=2)
+
+
 def test_random_scan_worker_invariant():
     seq = random_scan("sauer", 5, samples=64, seed=9)
     par = random_scan("sauer", 5, samples=64, seed=9, workers=2)
@@ -278,3 +287,6 @@ def test_search_validation():
         search_open_question("q1", 9, 2, "heuristic")
     with pytest.raises(ParameterError):
         search_open_question("q1", 3, 2, "annealing")
+    for mode in ("exhaustive", "heuristic"):
+        with pytest.raises(ParameterError, match="n must be >= 1, got -1"):
+            search_open_question("q1", -1, 1, mode)
