@@ -20,9 +20,10 @@ rejects them with EmptyFamilyError.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import combinations
+from itertools import combinations, product, starmap
 from typing import Iterable
 
 import numpy as np
@@ -45,9 +46,9 @@ SUMSET_CHUNK = 1 << 20
 PAIRWISE_OPS = ("sym_diff", "intersect", "union")
 
 _PAIRWISE_FN = {
-    "sym_diff": lambda a, b: a ^ b,
-    "intersect": lambda a, b: a & b,
-    "union": lambda a, b: a | b,
+    "sym_diff": operator.xor,
+    "intersect": operator.and_,
+    "union": operator.or_,
 }
 
 
@@ -286,7 +287,7 @@ def pairwise_family(a: SetFamily, b: SetFamily, op: str) -> SetFamily:
     a.require_nonempty("pairwise_family")
     b.require_nonempty("pairwise_family")
     fn = _PAIRWISE_FN[op]
-    return SetFamily.from_masks(a.ground_size, {fn(s, t) for s in a.members for t in b.members})
+    return SetFamily.from_masks(a.ground_size, set(starmap(fn, product(a.members, b.members))))
 
 
 def k_fold_sumset(a: PointSet, k: int) -> PointSet:

@@ -19,17 +19,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 
 import numpy as np
 
 from .errors import DimensionMismatchError, ParameterError, WitnessNotFoundError
 from .families import PointSet, SetFamily
-from .linalg import FieldMatrix, SpanTrackerGF2, SpanTrackerModP, pack_bits
+from .linalg import FieldMatrix, SpanTrackerGF2, SpanTrackerModP
 from .polynomials import (
     MonomialBasis,
     ReducedPolynomial,
-    monomial_basis,
     monomial_values,
+    monomials_of_degree,
     point_digits,
 )
 from .vc import vc_dim
@@ -67,30 +68,57 @@ def evaluation_matrix(domain: PointSet, basis: MonomialBasis) -> FieldMatrix:
     return FieldMatrix(p, out)
 
 
-@lru_cache(maxsize=32)
-def _grades(p: int, n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """The reduced monomials of each total degree, in canonical basis order."""
-    grades: list[list[tuple[int, ...]]] = [[] for _ in range((p - 1) * n + 1)]
-    for expvec in monomial_basis(p, n, (p - 1) * n).monomials:
-        grades[sum(expvec)].append(expvec)
-    return tuple(tuple(grade) for grade in grades)
+@lru_cache(maxsize=256)
+def _grade(p: int, n: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """The reduced monomials of total degree d, in canonical basis order."""
+    return tuple(monomials_of_degree(p, n, d))
+
+
+def _grade_columns(p: int, n: int, points: tuple[int, ...]):
+    """A function d -> the columns of the degree-d monomials on the points.
+
+    For p = 2 a column is an integer with bit i set where the monomial is 1
+    at point i: an encoded point is the bitmask of its coordinates, so
+    coords[j] (bit i = coordinate j of point i) ANDed over the monomial's
+    variables is the column, with no array work. Otherwise columns are
+    monomial_values int64 vectors. Either way they come in canonical order.
+    """
+    if p != 2:
+        digits = point_digits(points, p, n)
+        return lambda d: (monomial_values(digits, expvec, p) for expvec in _grade(p, n, d))
+    coords = [0] * n
+    bit = 1
+    for x in points:
+        j = 0
+        while x:
+            if x & 1:
+                coords[j] |= bit
+            x >>= 1
+            j += 1
+        bit <<= 1
+    full = bit - 1
+
+    def columns(d: int):
+        for expvec in _grade(2, n, d):
+            col = full
+            for c in compress(coords, expvec):
+                col &= c
+            yield col
+
+    return columns
 
 
 def _graded_span(p: int, n: int, points: tuple[int, ...]):
     """Yield (d, tracker) once the tracker holds every monomial column of degree <= d.
 
-    A column is one monomial's values on the points. For p = 2 columns are
-    bit-packed integers (bit i = point i) in a SpanTrackerGF2; otherwise they
-    are int64 vectors in a SpanTrackerModP.
+    Columns (see _grade_columns) go to a SpanTrackerGF2 for p = 2 and to a
+    SpanTrackerModP otherwise; each grade is enumerated only when reached.
     """
     m = len(points)
-    digits = point_digits(points, p, n)
+    columns = _grade_columns(p, n, points)
     tracker = SpanTrackerGF2(m) if p == 2 else SpanTrackerModP(p, m)
-    for d, grade in enumerate(_grades(p, n)):
-        columns = np.empty((len(grade), m), dtype=np.int64)
-        for k, expvec in enumerate(grade):
-            columns[k] = monomial_values(digits, expvec, p)
-        for col in pack_bits(columns) if p == 2 else columns:
+    for d in range((p - 1) * n + 1):
+        for col in columns(d):
             tracker.add(col)
         yield d, tracker
     raise AssertionError("the full reduced basis spans every function")
@@ -113,9 +141,10 @@ def deg_on_set(f: PartialFunction) -> int:
     """Minimal degree of a reduced polynomial agreeing with f on its domain."""
     f.domain.require_nonempty("deg_on_set")
     p = f.domain.modulus
-    target = np.array(f.values, dtype=np.int64)
     if p == 2:
-        (target,) = pack_bits(target.reshape(1, -1))
+        target = sum(v << i for i, v in enumerate(f.values))
+    else:
+        target = np.array(f.values, dtype=np.int64)
     for d, tracker in _graded_span(p, f.domain.dimension, f.domain.points):
         if tracker.contains(target):
             return d

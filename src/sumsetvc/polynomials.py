@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -56,21 +57,21 @@ def _basis_key(expvec: tuple[int, ...]) -> tuple:
     return (sum(expvec), tuple(-e for e in expvec))
 
 
-def _exponent_vectors(p: int, n: int, d: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-    vec = [0] * n
+def monomials_of_degree(p: int, n: int, d: int):
+    """Reduced exponent vectors of total degree d, in canonical basis order.
 
-    def rec(i: int, remaining: int) -> None:
-        if i == n:
-            out.append(tuple(vec))
-            return
-        for e in range(min(p - 1, remaining) + 1):
-            vec[i] = e
-            rec(i + 1, remaining - e)
-        vec[i] = 0
-
-    rec(0, d)
-    return out
+    Descending lexicographic: the first exponent runs from its largest
+    feasible value down and the rest recurse, so no vector outside the grade
+    is ever built.
+    """
+    if n == 1:
+        if 0 <= d < p:
+            yield (d,)
+        return
+    # the lower bound leaves the rest able to reach d, so no branch is empty
+    for e in range(min(p - 1, d), max(0, d - (p - 1) * (n - 1)) - 1, -1):
+        for rest in monomials_of_degree(p, n - 1, d - e):
+            yield (e,) + rest
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,7 @@ def monomial_basis(p: int, n: int, d: int) -> MonomialBasis:
     if p**n > ENCODING_LIMIT:
         raise ParameterError(f"p**n = {p**n} exceeds the exact-encoding guard of 2**48")
     d = min(d, (p - 1) * n)
-    vectors = sorted(_exponent_vectors(p, n, d), key=_basis_key)
+    vectors = chain.from_iterable(monomials_of_degree(p, n, k) for k in range(d + 1))
     return MonomialBasis(p, n, d, tuple(vectors))
 
 

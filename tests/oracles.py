@@ -69,6 +69,43 @@ def naive_rank(rows, p: int) -> int:
     return r
 
 
+def _naive_columns(points, p: int, n: int, d: int) -> list[list[int]]:
+    """Direct pow values of every reduced monomial of degree <= d: one row per point."""
+    # exponents above d cannot occur in degree <= d, so huge p enumerates little
+    monomials = [
+        e for e in product(range(min(p, d + 1)), repeat=n) if sum(e) <= d
+    ]
+    rows = []
+    for pt in points:
+        digits = decode_point(pt, p, n)
+        row = []
+        for e in monomials:
+            val = 1
+            for x, k in zip(digits, e):
+                val = val * pow(x, k, p) % p
+            row.append(val)
+        rows.append(row)
+    return rows
+
+
+def naive_int_deg(points, p: int, n: int) -> int:
+    """Smallest d whose degree-<=d monomial evaluations have rank |A| (naive_rank)."""
+    for d in range((p - 1) * n + 1):
+        if naive_rank(_naive_columns(points, p, n, d), p) == len(points):
+            return d
+    raise AssertionError("every function is realizable at full degree")
+
+
+def naive_deg_on_set(points, p: int, n: int, values) -> int:
+    """Smallest d at which appending the values as a column leaves the rank unchanged."""
+    for d in range((p - 1) * n + 1):
+        rows = _naive_columns(points, p, n, d)
+        with_values = [row + [v] for row, v in zip(rows, values)]
+        if naive_rank(rows, p) == naive_rank(with_values, p):
+            return d
+    raise AssertionError("every function is realizable at full degree")
+
+
 def naive_k_fold(points, p: int, n: int, k: int) -> tuple[int, ...]:
     """Full |A|^k enumeration of ordered k-tuples, digitwise sums mod p."""
     out = set()

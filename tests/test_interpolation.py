@@ -1,5 +1,9 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sumsetvc import interpolation
 from sumsetvc import (
     EmptyFamilyError,
     ParameterError,
@@ -18,9 +22,12 @@ from sumsetvc import (
     vc_dim,
 )
 from sumsetvc.families import FamilyKind, decode_point
+from sumsetvc.interpolation import _grade, _grade_columns
+from sumsetvc.linalg import pack_bits
+from sumsetvc.polynomials import monomial_values, point_digits
 from sumsetvc.sampling import SplitMix64, sample_distinct
 
-from oracles import brute_deg_on_set, brute_int_deg
+from oracles import brute_deg_on_set, brute_int_deg, naive_deg_on_set, naive_int_deg
 
 
 def all_nonempty_families(n):
@@ -178,6 +185,71 @@ def test_int_deg_le_vc_dim_exhaustive():
     for n in (1, 2, 3):
         for fam in all_nonempty_families(n):
             assert int_deg(embed_01(fam, 2)) <= vc_dim(fam)
+
+
+# --- graded span kernels -----------------------------------------------------------
+
+
+def test_grade_is_the_degree_slice_of_the_basis():
+    for p, n in ((2, 1), (2, 5), (3, 3), (5, 2), (7, 2), (11, 1)):
+        full = monomial_basis(p, n, (p - 1) * n).monomials
+        for d in range((p - 1) * n + 1):
+            assert _grade(p, n, d) == tuple(e for e in full if sum(e) == d)
+
+
+def test_gf2_bitmask_columns_equal_packed_monomial_values():
+    gen = SplitMix64(61)
+    for n in range(1, 9):
+        for _ in range(4):
+            size = 1 + gen.below(min(1 << n, 40))
+            pts = tuple(sorted(sample_distinct(1 << n, size, gen)))
+            columns = _grade_columns(2, n, pts)
+            digits = point_digits(pts, 2, n)
+            for d in range(n + 1):
+                values = np.array([monomial_values(digits, e, 2) for e in _grade(2, n, d)])
+                assert list(columns(d)) == pack_bits(values)
+
+
+def test_graded_span_builds_only_the_grades_it_reaches(monkeypatch):
+    # past the answer the grades of F_2^40 grow to ~10**11 monomials, and all
+    # of F_3037000493's would not fit in memory: a wrong kernel fails here
+    answers = {2: 1, 3037000493: 2}
+
+    def bounded_grade(p, n, d):
+        assert d <= answers[p], f"grade {d} of F_{p}^{n} built"
+        return _grade(p, n, d)
+
+    monkeypatch.setattr(interpolation, "_grade", bounded_grade)
+    interpolation._int_deg_points.cache_clear()
+    wide = PointSet(2, 40, (0, 1, 1 << 39))
+    line = PointSet(3037000493, 1, (0, 1, 5))
+    assert int_deg(wide) == 1
+    assert deg_on_set(PartialFunction(wide, (0, 1, 1))) == 1
+    assert int_deg(line) == 2
+    assert deg_on_set(PartialFunction(line, (0, 1, 25))) == 2
+
+
+# p with the largest n that keeps p**n small enough for the oracle
+GRADED_SPAN_FIELDS = {2: 6, 3: 3, 5: 2, 7: 2, 65537: 1, 3037000493: 1}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_graded_span_matches_oracle_at_random_primes(data):
+    p = data.draw(st.sampled_from(sorted(GRADED_SPAN_FIELDS)), label="p")
+    n = data.draw(st.integers(1, GRADED_SPAN_FIELDS[p]), label="n")
+    pts = data.draw(
+        st.lists(st.integers(0, p**n - 1), min_size=1, max_size=8, unique=True), label="points"
+    )
+    dom = PointSet.from_points(p, n, pts)
+    values = data.draw(
+        st.lists(st.integers(0, p - 1), min_size=len(dom.points), max_size=len(dom.points)),
+        label="values",
+    )
+    assert int_deg(dom) == naive_int_deg(dom.points, p, n)
+    assert deg_on_set(PartialFunction(dom, tuple(values))) == naive_deg_on_set(
+        dom.points, p, n, values
+    )
 
 
 # --- find_unshattered_witness --------------------------------------------------------

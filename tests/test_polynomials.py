@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from sumsetvc import (
     monomial_count,
     random_polynomial,
 )
-from sumsetvc.polynomials import values_on_cube
+from sumsetvc.polynomials import monomials_of_degree, values_on_cube
 from sumsetvc.sampling import SplitMix64
 
 
@@ -53,6 +55,13 @@ def test_monomial_basis_examples():
 def test_monomial_basis_graded_then_lex():
     basis = monomial_basis(3, 2, 2).monomials
     assert basis == ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+    # every reduced exponent vector, sorted by degree, then descending lexicographic
+    for p, n in ((2, 1), (2, 5), (3, 3), (5, 2), (7, 2), (11, 1)):
+        every = sorted(product(range(p), repeat=n), key=lambda e: (sum(e), [-x for x in e]))
+        for d in range((p - 1) * n + 1):
+            assert monomial_basis(p, n, d).monomials == tuple(e for e in every if sum(e) <= d)
+        for d in (-1, (p - 1) * n + 1):
+            assert list(monomials_of_degree(p, n, d)) == []
 
 
 def test_polynomial_construction_and_degree():
