@@ -190,8 +190,7 @@ def _read_json(path: str):
         raise ParameterError(f"{path}: {exc}") from None
 
 
-def _read_binary_family(path: str):
-    points = _read_family_file(path)
+def _binary_family(points: PointSet, path: str):
     if points.modulus != 2:
         raise ParameterError(f"{path}: this subcommand needs a p=2 family file")
     return family_from_points(points)
@@ -246,7 +245,7 @@ def _handle_gen_family(args) -> int:
 
 
 def _handle_vcdim(args) -> int:
-    family = _read_binary_family(args.infile)
+    family = _binary_family(_read_family_file(args.infile), args.infile)
     if args.witness is not None:
         mask = _parse_elements(args.witness, family.ground_size)
         pattern = find_unshattered_witness(family, mask)
@@ -281,22 +280,20 @@ def _handle_intdeg(args) -> int:
 
 def _handle_family_op(args) -> int:
     points = _read_family_file(args.infile)
-    if args.op in ("sym-diff", "intersect", "union"):
-        fam_a = _read_binary_family(args.infile)
-        fam_b = _read_binary_family(args.in2) if args.in2 else fam_a
-        result = pairwise_family(fam_a, fam_b, args.op.replace("-", "_"))
-        _write_output(format_family_text(embed_01(result, 2)), args.out)
-        return 0
     if args.op == "sumset":
         if args.k is None:
             raise ParameterError("--op sumset requires --k")
         _write_output(format_family_text(k_fold_sumset(points, args.k)), args.out)
         return 0
-    # embed
-    if args.p is None:
+    if args.op == "embed" and args.p is None:
         raise ParameterError("--op embed requires --p")
-    family = _read_binary_family(args.infile)
-    _write_output(format_family_text(embed_01(family, args.p)), args.out)
+    family = _binary_family(points, args.infile)
+    if args.op == "embed":
+        result = embed_01(family, args.p)
+    else:
+        other = _binary_family(_read_family_file(args.in2), args.in2) if args.in2 else family
+        result = embed_01(pairwise_family(family, other, args.op.replace("-", "_")), 2)
+    _write_output(format_family_text(result), args.out)
     return 0
 
 
@@ -392,17 +389,17 @@ def _handle_verify(args) -> int:
             jsonschema.validate(doc, report_schema())
         except jsonschema.ValidationError as exc:
             raise ParameterError(f"{args.replay}: {exc.message}") from None
+        # the digest covers every field before timing_ms, in the schema's order
+        fields = report_schema()["required"]
+        core = {key: doc[key] for key in fields[: fields.index("timing_ms")]}
+        if _digest(core) != doc["content_digest"]:
+            raise ParameterError(f"{args.replay}: content_digest does not match the report")
         if doc["violations"]:
             print(
                 f"{len(doc['violations'])} violation(s) recorded in {args.replay}",
                 file=sys.stderr,
             )
             return 1
-        # the digest covers every field before timing_ms, in the schema's order
-        fields = report_schema()["required"]
-        core = {key: doc[key] for key in fields[: fields.index("timing_ms")]}
-        if _digest(core) != doc["content_digest"]:
-            raise ParameterError(f"{args.replay}: content_digest does not match the report")
         return 0
     if args.theorem is None or args.n is None:
         raise ParameterError("verify requires --theorem and --n")

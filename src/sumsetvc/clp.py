@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionMismatchError, ParameterError, ResourceLimitError
-from .families import PointSet, add_points
+from .families import PointSet, add_points, check_power
 from .linalg import FieldMatrix, rank
 from .polynomials import (
     ReducedPolynomial,
@@ -103,11 +103,7 @@ def _pairwise_sum_index(p: int, n: int) -> np.ndarray:
 def clp_matrix(poly: ReducedPolynomial, *, point_limit: int = DEFAULT_POINT_LIMIT) -> FieldMatrix:
     """The p^n x p^n matrix M[x, y] = P(x + y), rows/columns in encoded point order."""
     p, n = poly.modulus, poly.dimension
-    size = p**n
-    if size > point_limit:
-        raise ResourceLimitError(
-            f"p**n = {size} exceeds the matrix point guard {point_limit}; raise the guard to override"
-        )
+    check_power(p, n, point_limit, "matrix side p**n", ResourceLimitError)
     vals = values_on_cube(poly)
     return FieldMatrix(p, vals[_pairwise_sum_index(p, n)])
 
@@ -155,10 +151,7 @@ def slice_decompose(
     if k < 2:
         raise ParameterError(f"arity must be >= 2, got {k}")
     p, n = f.modulus, f.dimension
-    if p ** (k * n) > grid_limit:
-        raise ResourceLimitError(
-            f"p**(k*n) = {p ** (k * n)} exceeds the verification grid guard {grid_limit}"
-        )
+    check_power(p, k * n, grid_limit, "sum grid points p**(k*n)", ResourceLimitError)
     cap = f.degree() // k
     expanded: dict[tuple[int, ...], int] = {}
     zero_full = (0,) * (k * n)
@@ -216,9 +209,8 @@ def sum_grid_values(
 ) -> np.ndarray:
     """f evaluated at every coordinate sum: the dense (p^n)^k tensor grid."""
     p, n = f.modulus, f.dimension
+    check_power(p, k * n, grid_limit, "sum grid points p**(k*n)", ResourceLimitError)
     size = p**n
-    if size**k > grid_limit:
-        raise ResourceLimitError(f"grid of {size ** k} points exceeds the guard {grid_limit}")
     vals = values_on_cube(f)
     sum_index = _pairwise_sum_index(p, n)
     acc = np.arange(size, dtype=np.int64)
@@ -232,9 +224,8 @@ def decomposition_values(
 ) -> np.ndarray:
     """Evaluate the decomposition sum on the full grid, for reconstruction checks."""
     p, n, k = dec.modulus, dec.dimension, dec.arity
+    check_power(p, k * n, grid_limit, "sum grid points p**(k*n)", ResourceLimitError)
     size = p**n
-    if size**k > grid_limit:
-        raise ResourceLimitError(f"grid of {size ** k} points exceeds the guard {grid_limit}")
     digits = _cube_digits(p, n)
     total = np.zeros((size,) * k, dtype=np.int64)
     for term in dec.terms:
@@ -267,9 +258,7 @@ def sum_tensor(
     if f.modulus != points.modulus or f.dimension != points.dimension:
         raise DimensionMismatchError("polynomial and point set disagree on modulus or dimension")
     points.require_nonempty("sum_tensor")
-    m = len(points)
-    if m**k > entry_limit:
-        raise ResourceLimitError(f"tensor of {m ** k} entries exceeds the guard {entry_limit}")
+    check_power(len(points), k, entry_limit, "tensor entries |A|**k", ResourceLimitError)
     p, n = points.modulus, points.dimension
     pts = np.array(points.points, dtype=np.int64)
     acc = pts

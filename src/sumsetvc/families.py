@@ -81,6 +81,21 @@ def check_modulus(p: int) -> None:
         raise ParameterError(f"modulus must be prime, got {p}")
 
 
+def check_power(base: int, exp: int, limit: int, what: str, error: type[Exception]) -> int:
+    """base**exp when it is at most limit; otherwise raise error.
+
+    The one policy for every size guard on a power (p**n cubes, sum grids,
+    |A|**k tensors). base**exp >= 2**((bits(base)-1)*exp), so a power that
+    far exceeds limit is rejected before it is built, and the message names
+    base and exponent, never a value that may be too long to print.
+    """
+    if (base.bit_length() - 1) * exp < limit.bit_length():
+        value = base**exp
+        if value <= limit:
+            return value
+    raise error(f"{what} = {base}**{exp} exceeds the guard {limit}")
+
+
 def binom_sum(n: int, d: int) -> int:
     """Partial binomial sum C(n,0) + ... + C(n,min(d,n)), exact."""
     if n < 0:
@@ -134,11 +149,9 @@ class PointSet:
         check_modulus(self.modulus)
         if self.dimension < 1:
             raise ParameterError(f"dimension must be >= 1, got {self.dimension}")
-        size = self.modulus**self.dimension
-        if size > ENCODING_LIMIT:
-            raise ParameterError(
-                f"p**n = {size} exceeds the exact-encoding guard of 2**48"
-            )
+        size = check_power(
+            self.modulus, self.dimension, ENCODING_LIMIT, "exact-encoding size p**n", ParameterError
+        )
         prev = -1
         for pt in self.points:
             if pt <= prev:
@@ -154,9 +167,6 @@ class PointSet:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def space_size(self) -> int:
-        return self.modulus**self.dimension
 
     def require_nonempty(self, operation: str) -> None:
         if not self.points:
@@ -388,6 +398,8 @@ def parse_family_text(text: str) -> PointSet:
                 raise FamilyFormatError("text format supports single-digit moduli (p <= 7)", lineno)
             if not is_prime(p):
                 raise FamilyFormatError(f"modulus must be prime, got {p}", lineno)
+            # before any member is encoded: each costs time quadratic in n
+            check_power(p, n, ENCODING_LIMIT, "exact-encoding size p**n", ParameterError)
             header = (n, p)
             continue
         n, p = header

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ParameterError, ResourceLimitError
-from .families import ENCODING_LIMIT, check_modulus, decode_point
+from .families import ENCODING_LIMIT, check_modulus, check_power, decode_point
 
 # materializing every point of F_p^n is only sane well below the encoding guard
 CUBE_MATERIALIZE_LIMIT = 1 << 26
@@ -92,8 +92,7 @@ def monomial_basis(p: int, n: int, d: int) -> MonomialBasis:
     _validate_field(p, n)
     if d < 0:
         raise ParameterError(f"d must be nonnegative, got {d}")
-    if p**n > ENCODING_LIMIT:
-        raise ParameterError(f"p**n = {p**n} exceeds the exact-encoding guard of 2**48")
+    check_power(p, n, ENCODING_LIMIT, "exact-encoding size p**n", ParameterError)
     d = min(d, (p - 1) * n)
     vectors = chain.from_iterable(monomials_of_degree(p, n, k) for k in range(d + 1))
     return MonomialBasis(p, n, d, tuple(vectors))
@@ -323,7 +322,5 @@ def values_at(poly: ReducedPolynomial, digits: Sequence[np.ndarray]) -> np.ndarr
 def values_on_cube(poly: ReducedPolynomial) -> np.ndarray:
     """Evaluate at every point of F_p^n, indexed by encoded point value."""
     p, n = poly.modulus, poly.dimension
-    size = p**n
-    if size > CUBE_MATERIALIZE_LIMIT:
-        raise ResourceLimitError(f"refusing to materialize {size} cube points")
+    check_power(p, n, CUBE_MATERIALIZE_LIMIT, "cube points p**n", ResourceLimitError)
     return values_at(poly, _cube_digits(p, n))

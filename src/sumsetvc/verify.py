@@ -11,6 +11,7 @@ extrapolate.
 from __future__ import annotations
 
 import enum
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
@@ -235,17 +236,19 @@ def _require_positive_n(n: int) -> None:
 def _scan(
     theorem: TheoremId, parameters: dict, seed, chunks, total: int, workers: int, progress
 ) -> VerificationReport:
-    """Check the chunks of instances, inline or in a pool of `workers`
-    processes, and merge them in chunk order into one report."""
+    """Check `total` instances, given in chunks of CHUNK, inline or in a pool
+    of at most `workers` processes; merge them in chunk order into one report."""
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers}")
     p = parameters["p"]
     if p is not None:
         check_modulus(p)
+    # a fork pool starts all max_workers processes at once: start no idle ones
+    processes = min(workers, -(-total // CHUNK), os.cpu_count() or 1)
     state = _ScanState()
     with ExitStack() as stack:
-        if workers > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+        if processes > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=processes))
             partials = pool.map(_check, repeat(theorem), repeat(p), chunks)
         else:
             partials = (_check(theorem, p, chunk) for chunk in chunks)
@@ -279,7 +282,7 @@ def exhaustive_scan(
     _require_positive_n(n)
     if n > EXHAUSTIVE_MAX_N:
         raise ResourceLimitError(
-            f"exhaustive scan over n = {n} enumerates 2**{1 << n} instances; use random_scan"
+            f"exhaustive scan over n = {n} enumerates 2**(2**{n}) instances; use random_scan"
         )
     if theorem is TheoremId.CLP_BOUND:
         if p not in (None, 2):
@@ -460,7 +463,7 @@ def search_open_question(
     if mode == "exhaustive":
         if n > EXHAUSTIVE_MAX_N:
             raise ResourceLimitError(
-                f"exhaustive search over n = {n} enumerates 2**{1 << n} families; use heuristic mode"
+                f"exhaustive search over n = {n} enumerates 2**(2**{n}) families; use heuristic mode"
             )
         best: tuple[int, tuple[int, ...]] | None = None
         count = 0

@@ -168,7 +168,8 @@ def test_verify_byte_identical_reruns(tmp_path):
     assert (tmp_path / "rep.json").read_bytes() == first
 
 
-def test_verify_worker_count_does_not_change_output(tmp_path):
+def test_verify_worker_count_does_not_change_output(tmp_path, monkeypatch):
+    monkeypatch.setattr(sumsetvc.verify, "CHUNK", 64)  # 4 chunks, so the pool runs
     out1 = str(tmp_path / "w1.json")
     out2 = str(tmp_path / "w2.json")
     base = ["verify", "--theorem", "main", "--n", "3", "--no-progress"]
@@ -248,6 +249,13 @@ def test_emit_schema(capsys):
     jsonschema.Draft7Validator.check_schema(schema)
 
 
+def sign(doc):
+    # the documented digest: canonical JSON of every field before timing_ms
+    core = {k: v for k, v in doc.items() if k not in ("timing_ms", "content_digest")}
+    text = json.dumps(core, separators=(",", ":"), ensure_ascii=True)
+    return dict(doc, content_digest=hashlib.sha256(text.encode()).hexdigest())
+
+
 def test_replay_clean_report(tmp_path, capsys):
     out = str(tmp_path / "rep.json")
     run_cli("verify", "--theorem", "sauer", "--n", "2", "--no-progress", "--out", out)
@@ -263,7 +271,8 @@ def test_replay_planted_violation_exits_1(tmp_path, capsys):
         {"instance": {"kind": "family", "n": 2, "members": [0]}, "lhs": 99, "rhs": 1}
     ]
     corrupted = tmp_path / "corrupt.json"
-    corrupted.write_text(json.dumps(doc))
+    # re-signed: an unsigned planted violation is a digest mismatch (exit 2)
+    corrupted.write_text(json.dumps(sign(doc)))
     assert run_cli("verify", "--replay", str(corrupted)) == 1
     assert "violation" in capsys.readouterr().err
 
@@ -274,12 +283,6 @@ def test_replay_recomputes_content_digest(tmp_path, capsys):
         path.write_text(json.dumps(doc, indent=2))
         return str(path)
 
-    def sign(doc):
-        # the documented digest: canonical JSON of every field before timing_ms
-        core = {k: v for k, v in doc.items() if k not in ("timing_ms", "content_digest")}
-        text = json.dumps(core, separators=(",", ":"), ensure_ascii=True)
-        return dict(doc, content_digest=hashlib.sha256(text.encode()).hexdigest())
-
     out = tmp_path / "rep.json"
     run_cli("verify", "--theorem", "sauer", "--n", "2", "--no-progress", "--out", str(out))
     clean = json.loads(out.read_text())
@@ -289,6 +292,8 @@ def test_replay_recomputes_content_digest(tmp_path, capsys):
     violation = {"instance": {"kind": "family", "n": 2, "members": [0]}, "lhs": 99, "rhs": 1}
     violating = sign(dict(clean, violations=[violation]))
     assert run_cli("verify", "--replay", write("violating.json", violating)) == 1
+    forged = dict(clean, violations=[violation])
+    assert run_cli("verify", "--replay", write("forged.json", forged)) == 2
     deleted = dict(violating, violations=[])
     assert run_cli("verify", "--replay", write("deleted.json", deleted)) == 2
 
@@ -424,6 +429,21 @@ def test_report_key_order_and_text_lines(tmp_path, capsys):
         pytest.param(b"", ["verify", "--theorem", "main", "--n", "3", "--p", "4"],
                      id="verify-p-not-prime"),
         pytest.param(b"\xff", ["verify", "--replay", "{}"], id="replay-not-utf8"),
+        # oversized powers: rejected by name, never built or printed
+        pytest.param(b"", ["clp-rank", "--p", "3", "--n", "10000", "--d", "1"],
+                     id="clp-rank-huge-n"),
+        pytest.param(b"", ["slice-decompose", "--p", "3", "--n", "10000", "--k", "2", "--d", "1"],
+                     id="slice-decompose-huge-n"),
+        pytest.param(b"", ["slice-decompose", "--p", "2", "--n", "2", "--k", "20000", "--d", "1"],
+                     id="slice-decompose-huge-k"),
+        pytest.param(b"n=2 p=2\n00\n11\n",
+                     ["slice-decompose", "--tensor-family", "{}", "--k", "20000"],
+                     id="sum-tensor-huge-k"),
+        pytest.param(b"n=1000000 p=3\n", ["intdeg", "--in", "{}"], id="intdeg-huge-n"),
+        pytest.param(b"n=100000 p=2\n", ["vcdim", "--in", "{}"], id="vcdim-huge-n"),
+        pytest.param(b"", ["verify", "--theorem", "main", "--n", "20000"], id="verify-huge-n"),
+        pytest.param(b"", ["search", "--question", "q1", "--n", "20000", "--d", "1"],
+                     id="search-huge-n"),
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, content, argv):
@@ -433,6 +453,7 @@ def test_malformed_input_exits_2(tmp_path, capsys, content, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_polynomial_file_keeps_term_errors(tmp_path, capsys):

@@ -10,6 +10,7 @@ from sumsetvc import (
     FamilyKind,
     ParameterError,
     PointSet,
+    ResourceLimitError,
     SetFamily,
     binom_sum,
     embed_01,
@@ -24,6 +25,7 @@ from sumsetvc import families
 from sumsetvc.families import (
     add_points,
     check_modulus,
+    check_power,
     decode_point,
     encode_point,
     is_prime,
@@ -88,6 +90,34 @@ def test_repeated_modulus_check_is_a_cache_hit():
     hits = is_prime.cache_info().hits
     check_modulus(3037000493)
     assert is_prime.cache_info().hits == hits + 1
+
+
+def test_check_power_agrees_with_direct_comparison():
+    cases = [(b, e, lim) for b in range(6) for e in range(8) for lim in range(-2, 130)]
+    for b in (2, 3, 7, 255, 256, 257):
+        for e in range(12):
+            cases += [(b, e, b**e + delta) for delta in (-1, 0, 1)]
+    for base, exp, limit in cases:
+        if base**exp <= limit:
+            assert check_power(base, exp, limit, "x", ParameterError) == base**exp
+        else:
+            with pytest.raises(ParameterError):
+                check_power(base, exp, limit, "x", ParameterError)
+
+
+def test_check_power_rejects_a_huge_exponent_by_name():
+    # 3**(10**9) has about 1.6e9 bits: the guard must reject it without building it
+    with pytest.raises(
+        ResourceLimitError, match=r"^cube points p\*\*n = 3\*\*1000000000 exceeds the guard 64$"
+    ):
+        check_power(3, 10**9, 64, "cube points p**n", ResourceLimitError)
+
+
+def test_check_power_passes_base_0_and_1_at_any_exponent():
+    assert check_power(0, 10**9, 0, "x", ParameterError) == 0
+    assert check_power(1, 10**9, 1, "x", ParameterError) == 1
+    with pytest.raises(ParameterError):
+        check_power(1, 10**9, 0, "x", ParameterError)
 
 
 def test_empty_family_is_constructible_but_rejected():
@@ -289,6 +319,13 @@ def test_text_format_round_trip():
     assert parse_family_text(text) == pts
     # writing the parse result reproduces the bytes
     assert format_family_text(parse_family_text(text)) == text
+
+
+def test_text_format_rejects_an_oversized_header_before_its_members():
+    # a 300000-digit member would take seconds to encode: no member line is read
+    # (this short one would fail with a FamilyFormatError) once the header fails
+    with pytest.raises(ParameterError, match=r"p\*\*n = 3\*\*300000 exceeds"):
+        parse_family_text("n=300000 p=3\n0\n")
 
 
 def test_text_format_digit_order_is_least_significant_first():

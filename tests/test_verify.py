@@ -1,5 +1,8 @@
+import os
+
 import pytest
 
+import sumsetvc.verify as verify_module
 from sumsetvc import (
     EmptyFamilyError,
     FamilyKind,
@@ -105,10 +108,11 @@ def test_exhaustive_scan_reports_extremes():
     assert 0 < rep.extremes["ratio"] <= 1.0
 
 
-def test_exhaustive_scan_deterministic_and_worker_invariant():
+def test_exhaustive_scan_deterministic_and_worker_invariant(monkeypatch):
     seq = exhaustive_scan("main", 3)
     again = exhaustive_scan("main", 3)
     assert seq == again
+    monkeypatch.setattr(verify_module, "CHUNK", 64)  # 4 chunks, so two workers both get one
     par = exhaustive_scan("main", 3, workers=2)
     assert par == seq
 
@@ -176,10 +180,44 @@ def test_scans_reject_a_modulus_that_is_not_prime():
         random_scan("clp_bound", 1, p=0, samples=2)
 
 
-def test_random_scan_worker_invariant():
+def test_random_scan_worker_invariant(monkeypatch):
     seq = random_scan("sauer", 5, samples=64, seed=9)
+    monkeypatch.setattr(verify_module, "CHUNK", 16)
     par = random_scan("sauer", 5, samples=64, seed=9, workers=2)
     assert seq == par
+
+
+def test_pool_size_is_capped_by_chunks_and_cpus(monkeypatch):
+    sizes = []
+
+    class InlinePool:
+        """Stands in for ProcessPoolExecutor: records its size, starts no process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(verify_module, "ProcessPoolExecutor", InlinePool)
+    expected = exhaustive_scan("sauer", 2)
+    # one chunk: no pool at all, however many workers are asked for
+    assert exhaustive_scan("sauer", 2, workers=100000) == expected
+    assert random_scan("sauer", 3, samples=5, seed=1, workers=100000) == random_scan(
+        "sauer", 3, samples=5, seed=1
+    )
+    assert sizes == []
+    monkeypatch.setattr(verify_module, "CHUNK", 4)  # 15 families in 4 chunks
+    for cpus, workers in ((64, 100000), (3, 100000), (64, 2), (None, 100000)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert exhaustive_scan("sauer", 2, workers=workers) == expected
+    assert sizes == [4, 3, 2]
 
 
 # --- counterexample_demo --------------------------------------------------------------
