@@ -15,8 +15,12 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import repeat
 
+import numpy as np
+
+from .chars import char_array, char_members, int_degs, pairwise_chars, vc_dims
 from .clp import verify_clp_bound
 from .errors import ParameterError, ResourceLimitError
 from .families import (
@@ -168,35 +172,39 @@ def _ratio_key(lhs: int, rhs: int) -> tuple[int, int]:
     return (lhs, rhs)
 
 
-def _tighter(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    """True when ratio a strictly exceeds ratio b (exact cross-multiplication)."""
-    ka, kb = _ratio_key(*a), _ratio_key(*b)
+def _tighter(ka: tuple[int, int], kb: tuple[int, int]) -> bool:
+    """True when ratio key ka strictly exceeds kb (exact cross-multiplication)."""
     return ka[0] * kb[1] > kb[0] * ka[1]
 
 
-def _ratio_float(lhs: int, rhs: int) -> float:
-    num, den = _ratio_key(lhs, rhs)
-    return num / den
-
-
 def _extreme_dict(instance: dict, lhs: int, rhs: int) -> dict:
-    return {"instance": instance, "lhs": lhs, "rhs": rhs, "ratio": _ratio_float(lhs, rhs)}
+    num, den = _ratio_key(lhs, rhs)
+    return {"instance": instance, "lhs": lhs, "rhs": rhs, "ratio": num / den}
 
 
 class _ScanState:
-    """Accumulates count, violations and the tightest instance, in scan order."""
+    """Accumulates count, violations and the tightest instance, in scan order.
 
-    def __init__(self):
+    `describe` turns a recorded instance into its report dict; it runs only
+    for the instances the state keeps, violations and new extremes.
+    """
+
+    def __init__(self, describe=_instance_dict):
+        self.describe = describe
         self.count = 0
         self.violations: list[dict] = []
         self.extreme: tuple[tuple[int, int], dict] | None = None
 
-    def record(self, instance: dict, lhs: int, rhs: int) -> None:
+    def record(self, instance, lhs: int, rhs: int) -> None:
         self.count += 1
-        if lhs > rhs:
-            self.violations.append({"instance": instance, "lhs": lhs, "rhs": rhs})
-        if self.extreme is None or _tighter((lhs, rhs), self.extreme[0]):
-            self.extreme = ((lhs, rhs), _extreme_dict(instance, lhs, rhs))
+        key = _ratio_key(lhs, rhs)
+        tighter = self.extreme is None or _tighter(key, self.extreme[0])
+        if lhs > rhs or tighter:
+            described = self.describe(instance)
+            if lhs > rhs:
+                self.violations.append({"instance": described, "lhs": lhs, "rhs": rhs})
+            if tighter:
+                self.extreme = (key, _extreme_dict(described, lhs, rhs))
 
     def merge(self, other: "_ScanState") -> None:
         self.count += other.count
@@ -208,8 +216,11 @@ class _ScanState:
 
 
 def _family_from_char(char: int, n: int) -> SetFamily:
-    members = tuple(mask for mask in range(1 << n) if char >> mask & 1)
-    return SetFamily(n, members)
+    return SetFamily(n, char_members(char, n))
+
+
+def _char_dict(char: int, n: int) -> dict:
+    return _instance_dict(_family_from_char(char, n))
 
 
 def _poly_from_coeff_mask(coeff_mask: int, n: int) -> ReducedPolynomial:
@@ -220,11 +231,45 @@ def _poly_from_coeff_mask(coeff_mask: int, n: int) -> ReducedPolynomial:
     return ReducedPolynomial(2, n, terms)
 
 
-def _check(theorem: TheoremId, p: int | None, instances) -> _ScanState:
+def _char_inequality(theorem: TheoremId, chars: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lhs, rhs) arrays of _instance_inequality for every family in a char array."""
+    binom = np.array([binom_sum(n, d) for d in range(n + 1)])
+    half = np.array([2 * binom_sum(n, d // 2) for d in range(n + 1)])
+    size = np.bitwise_count(chars)
+    if theorem is TheoremId.SAUER:
+        return size, binom[vc_dims(chars, n)]
+    if theorem is TheoremId.MAIN:
+        return size, half[vc_dims(pairwise_chars(chars, chars, n, "sym_diff"), n)]
+    if theorem is TheoremId.INTDEG_MAIN:
+        return size, half[int_degs(pairwise_chars(chars, chars, n, "sym_diff"), n)]
+    if theorem is TheoremId.INTDEG_LE_VC:
+        return int_degs(chars, n), vc_dims(chars, n)
+    # TheoremId.VC_MONOTONE
+    stars = [vc_dims(pairwise_chars(chars, chars, n, op), n) for op in ("sym_diff", "intersect", "union")]
+    return vc_dims(chars, n), np.minimum.reduce(stars)
+
+
+# exhaustive family scans of these theorems run on char arrays (_char_inequality)
+_CHAR_THEOREMS = frozenset(
+    {TheoremId.SAUER, TheoremId.MAIN, TheoremId.INTDEG_MAIN, TheoremId.INTDEG_LE_VC, TheoremId.VC_MONOTONE}
+)
+
+
+def _check(theorem: TheoremId, p: int | None, n: int, chunk) -> _ScanState:
+    """Check one chunk: a range of chars (or F_2 coefficient masks for
+    clp_bound) from an exhaustive scan, or a list of sampled instances."""
+    if isinstance(chunk, range):
+        if theorem in _CHAR_THEOREMS:
+            state = _ScanState(partial(_char_dict, n=n))
+            lhs, rhs = _char_inequality(theorem, char_array(chunk), n)
+            for char, left, right in zip(chunk, lhs.tolist(), rhs.tolist()):
+                state.record(char, left, right)
+            return state
+        make = _poly_from_coeff_mask if theorem is TheoremId.CLP_BOUND else _family_from_char
+        chunk = map(make, chunk, repeat(n))
     state = _ScanState()
-    for instance in instances:
-        lhs, rhs = _instance_inequality(theorem, instance, p)
-        state.record(_instance_dict(instance), lhs, rhs)
+    for instance in chunk:
+        state.record(instance, *_instance_inequality(theorem, instance, p))
     return state
 
 
@@ -249,11 +294,11 @@ def _scan(
     with ExitStack() as stack:
         if processes > 1:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=processes))
-            partials = pool.map(_check, repeat(theorem), repeat(p), chunks)
+            partials = pool.map(_check, repeat(theorem), repeat(p), repeat(parameters["n"]), chunks)
         else:
-            partials = (_check(theorem, p, chunk) for chunk in chunks)
-        for partial in partials:
-            state.merge(partial)
+            partials = (_check(theorem, p, parameters["n"], chunk) for chunk in chunks)
+        for chunk_state in partials:
+            state.merge(chunk_state)
             if progress is not None:
                 progress(state.count, total)
     return VerificationReport(
@@ -289,11 +334,11 @@ def exhaustive_scan(
             raise ResourceLimitError(
                 "exhaustive polynomial enumeration is tractable over F_2 only; use random_scan"
             )
-        p, make, keys = 2, _poly_from_coeff_mask, range(1 << (1 << n))
+        p, keys = 2, range(1 << (1 << n))
     else:
-        make, keys = _family_from_char, range(1, 1 << (1 << n))
-    # lazy maps: instances are built one at a time, where the chunk runs
-    chunks = (map(make, keys[start : start + CHUNK], repeat(n)) for start in range(0, len(keys), CHUNK))
+        keys = range(1, 1 << (1 << n))
+    # ranges of keys: the chunk's worker builds what it checks, where it runs
+    chunks = (keys[start : start + CHUNK] for start in range(0, len(keys), CHUNK))
     parameters = {"n": n, "p": p, "mode": "exhaustive", "samples": None}
     return _scan(theorem, parameters, None, chunks, len(keys), workers, progress)
 
@@ -372,6 +417,16 @@ def open_question_constraint(question: str, family: SetFamily, d: int) -> bool:
         triple = pairwise_family(double, family, "sym_diff")
         return vc_dim(triple) <= d
     raise ParameterError(f"unknown question {question!r}; expected q1 or q2")
+
+
+def _feasible_chars(question: str, chars: np.ndarray, n: int, d: int) -> np.ndarray:
+    """open_question_constraint for every family in a char array."""
+    if question == "q1":
+        return (vc_dims(pairwise_chars(chars, chars, n, "intersect"), n) <= d) & (
+            vc_dims(pairwise_chars(chars, chars, n, "union"), n) <= d
+        )
+    double = pairwise_chars(chars, chars, n, "sym_diff")
+    return vc_dims(pairwise_chars(double, chars, n, "sym_diff"), n) <= d
 
 
 def _heuristic_search(question: str, n: int, d: int, budget: int, seed: int):
@@ -465,17 +520,16 @@ def search_open_question(
             raise ResourceLimitError(
                 f"exhaustive search over n = {n} enumerates 2**(2**{n}) families; use heuristic mode"
             )
+        keys = range(1, 1 << (1 << n))
         best: tuple[int, tuple[int, ...]] | None = None
-        count = 0
-        for char in range(1, 1 << (1 << n)):
-            count += 1
-            size = char.bit_count()
-            if best is not None and size <= best[0]:
-                continue
-            family = _family_from_char(char, n)
-            if open_question_constraint(question, family, d):
-                best = (size, family.members)
-        examined = count
+        # ascending chars: keep the first char of each new largest feasible size
+        for start in range(0, len(keys), CHUNK):
+            chars = char_array(keys[start : start + CHUNK])
+            sizes = np.where(_feasible_chars(question, chars, n, d), np.bitwise_count(chars), 0)
+            first = int(sizes.argmax())
+            if sizes[first] and (best is None or sizes[first] > best[0]):
+                best = (int(sizes[first]), char_members(int(chars[first]), n))
+        examined = len(keys)
     elif mode == "heuristic":
         if n > HEURISTIC_MAX_N:
             raise ResourceLimitError(f"heuristic search is limited to n <= {HEURISTIC_MAX_N}")

@@ -2,9 +2,16 @@
 nonempty family of 2^[4] (the two scans already exercised by the acceptance
 suite are left there), the polynomial rank bound over every F_2 polynomial
 in four variables, and the p-fold sum theorem over every family of 2^[3]
-for p in {2, 3, 5}. Any violation anywhere is a build-failing event."""
+for p in {2, 3, 5}. Any violation anywhere is a build-failing event. The
+char-array scans are also checked result by result against the per-instance
+kernels over all of 2^[4]."""
 
-from sumsetvc import SetFamily, check_instance, exhaustive_scan, pairwise_family
+import pytest
+
+import sumsetvc.verify as verify_module
+from sumsetvc import SetFamily, TheoremId, check_instance, exhaustive_scan, pairwise_family
+
+from test_verify import recorded_stream
 
 
 def all_nonempty_families(n):
@@ -44,3 +51,11 @@ def test_intdeg_main_implies_main_n4():
     for fam in all_nonempty_families(4):
         if check_instance("intdeg_main", fam):
             assert check_instance("main", fam)
+
+
+@pytest.mark.parametrize("theorem", ["vc_monotone", "intdeg_le_vc"])
+def test_char_scan_stream_equals_per_instance_n4(monkeypatch, theorem):
+    stream = recorded_stream(monkeypatch, lambda: exhaustive_scan(theorem, 4))
+    assert len(stream) == 65535
+    for fam, got in zip(all_nonempty_families(4), stream):
+        assert got == verify_module._instance_inequality(TheoremId(theorem), fam, None), fam.members

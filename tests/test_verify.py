@@ -1,5 +1,8 @@
+import json
 import os
+from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 import sumsetvc.verify as verify_module
@@ -19,8 +22,11 @@ from sumsetvc import (
     random_scan,
     search_open_question,
 )
+from sumsetvc.chars import char_members
 
 from oracles import naive_pairwise, naive_vc_dim
+
+CHAR_THEOREMS = ["sauer", "main", "intdeg_main", "intdeg_le_vc", "vc_monotone"]
 
 
 def all_nonempty_families(n):
@@ -123,6 +129,76 @@ def test_intdeg_main_implies_main_exhaustive():
         for fam in all_nonempty_families(n):
             if check_instance("intdeg_main", fam):
                 assert check_instance("main", fam)
+
+
+def recorded_stream(monkeypatch, scan):
+    """The (lhs, rhs) of every instance the scan records, in scan order,
+    taken by wrapping _ScanState.record as the benchmark does."""
+    stream = []
+    record = verify_module._ScanState.record
+
+    def recording(state, instance, lhs, rhs):
+        stream.append((lhs, rhs))
+        return record(state, instance, lhs, rhs)
+
+    with monkeypatch.context() as m:
+        m.setattr(verify_module._ScanState, "record", recording)
+        scan()
+    return stream
+
+
+@pytest.mark.parametrize("theorem", CHAR_THEOREMS)
+def test_char_scan_records_the_per_instance_stream(monkeypatch, theorem):
+    for n in (1, 2, 3):
+        stream = recorded_stream(monkeypatch, lambda: exhaustive_scan(theorem, n))
+        want = [verify_module._instance_inequality(TheoremId(theorem), f, None) for f in all_nonempty_families(n)]
+        assert stream == want, n
+        assert all(type(x) is int for pair in stream for x in pair)
+
+
+def per_instance_scan(monkeypatch, theorem, n):
+    with monkeypatch.context() as m:
+        m.setattr(verify_module, "_CHAR_THEOREMS", frozenset())
+        return exhaustive_scan(theorem, n)
+
+
+@pytest.mark.parametrize("theorem", CHAR_THEOREMS)
+def test_char_scan_reports_are_worker_invariant_and_match_per_instance(monkeypatch, theorem):
+    expected = per_instance_scan(monkeypatch, theorem, 3)
+    monkeypatch.setattr(verify_module, "CHUNK", 64)  # 4 chunks, so the pool runs
+    one = exhaustive_scan(theorem, 3)
+    two = exhaustive_scan(theorem, 3, workers=2)
+    assert json.dumps(asdict(one)) == json.dumps(asdict(two)) == json.dumps(asdict(expected))
+
+
+def test_char_scan_reports_a_planted_violation_as_the_per_instance_path_does(monkeypatch):
+    powerset = (1 << 8) - 1
+    vc_dims, vc_dim = verify_module.vc_dims, verify_module.vc_dim
+    monkeypatch.setattr(verify_module, "vc_dims", lambda chars, n: np.where(chars == powerset, 0, vc_dims(chars, n)))
+    monkeypatch.setattr(verify_module, "vc_dim", lambda f: 0 if len(f) == 8 else vc_dim(f))
+    expected = per_instance_scan(monkeypatch, "sauer", 3)
+    planted = {"instance": {"kind": "family", "n": 3, "members": list(range(8))}, "lhs": 8, "rhs": 1}
+    assert expected.violations == [planted]
+    assert expected.extremes == dict(planted, ratio=8.0)
+    monkeypatch.setattr(verify_module, "CHUNK", 64)
+    for workers in (1, 2):
+        assert exhaustive_scan("sauer", 3, workers=workers) == expected
+
+
+def test_scan_builds_instance_dicts_only_for_kept_instances(monkeypatch):
+    described = []
+    char_dict = verify_module._char_dict
+
+    def counting(char, n):
+        described.append(char)
+        return char_dict(char, n)
+
+    monkeypatch.setattr(verify_module, "_char_dict", counting)
+    report = exhaustive_scan("sauer", 3)
+    # no family breaks Sauer's bound and none beats the ratio 1 of the first
+    # family {∅}, so that is the only instance the report keeps
+    assert described == [1]
+    assert report.extremes["instance"] == {"kind": "family", "n": 3, "members": [0]}
 
 
 # --- random_scan -------------------------------------------------------------------
@@ -296,6 +372,26 @@ def test_search_certificates_reverify_independently():
             double = naive_pairwise(members, members, "sym_diff")
             triple = naive_pairwise(double, members, "sym_diff")
             assert naive_vc_dim(triple, n) <= d
+
+
+def ascending_search(question, n, d):
+    """The first char, in ascending order, of the largest feasible size."""
+    best = None
+    for char in range(1, 1 << (1 << n)):
+        family = SetFamily(n, char_members(char, n))
+        if (best is None or len(family) > best[0]) and open_question_constraint(question, family, d):
+            best = (len(family), family.members)
+    return best
+
+
+@pytest.mark.parametrize("question", ["q1", "q2"])
+def test_exhaustive_search_matches_the_ascending_loop(question, monkeypatch):
+    monkeypatch.setattr(verify_module, "CHUNK", 7)  # the answer may sit in any chunk
+    for n in (1, 2, 3):
+        for d in range(n + 1):
+            row = search_open_question(question, n, d, "exhaustive").rows[0]
+            assert (row.best_size, row.certificate) == ascending_search(question, n, d), (n, d)
+            assert row.instances_examined == (1 << (1 << n)) - 1
 
 
 def test_search_heuristic_mode():
