@@ -32,9 +32,16 @@ def char_members(char: int, n: int) -> tuple[int, ...]:
     return tuple(m for m in range(1 << n) if char >> m & 1)
 
 
-def char_array(chars: range) -> np.ndarray:
-    """A range of chars as the int64 array the kernels take."""
-    return np.arange(chars.start, chars.stop, chars.step, dtype=np.int64)
+def popcounts(chars: np.ndarray) -> np.ndarray:
+    """|A| for every char in the array: its number of set bits.
+
+    A branch-free bit count for 0 <= char < 2**32, which holds every char
+    with n <= CHAR_MAX_N; it needs no numpy 2 `bitwise_count`.
+    """
+    x = chars - ((chars >> 1) & 0x55555555)
+    x = (x & 0x33333333) + ((x >> 2) & 0x33333333)
+    x = (x + (x >> 4)) & 0x0F0F0F0F
+    return ((x * 0x01010101) & 0xFFFFFFFF) >> 24
 
 
 def _positions(n: int) -> range:
@@ -132,7 +139,7 @@ def int_degs(chars: np.ndarray, n: int) -> np.ndarray:
     rows = np.arange(len(chars))
     piv = np.zeros((1 << n, len(chars)), dtype=np.int64)
     rank = np.zeros(len(chars), dtype=np.int64)
-    size = np.bitwise_count(chars).astype(np.int64)
+    size = popcounts(chars)
     out = np.full(len(chars), -1, dtype=np.int64)
     for d, masks in enumerate(grades):
         for mask in masks:
@@ -141,7 +148,8 @@ def int_degs(chars: np.ndarray, n: int) -> np.ndarray:
             for b, row in enumerate(piv):
                 v ^= row & -((v >> b) & 1)
             new = v != 0
-            slot = np.bitwise_count((v & -v) - 1).astype(np.int64)
+            # v & -v is 2**slot, which float64 holds exactly: frexp gives slot + 1
+            slot = np.frexp((v & -v).astype(np.float64))[1] - 1
             piv[slot[new], rows[new]] = v[new]
             rank += new
         out[(out < 0) & (rank == size)] = d

@@ -20,7 +20,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .chars import char_array, char_members, int_degs, pairwise_chars, vc_dims
+from .chars import char_members, int_degs, pairwise_chars, popcounts, vc_dims
 from .clp import verify_clp_bound
 from .errors import ParameterError, ResourceLimitError
 from .families import (
@@ -231,37 +231,42 @@ def _poly_from_coeff_mask(coeff_mask: int, n: int) -> ReducedPolynomial:
     return ReducedPolynomial(2, n, terms)
 
 
-def _char_inequality(theorem: TheoremId, chars: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(lhs, rhs) arrays of _instance_inequality for every family in a char array."""
-    binom = np.array([binom_sum(n, d) for d in range(n + 1)])
-    half = np.array([2 * binom_sum(n, d // 2) for d in range(n + 1)])
-    size = np.bitwise_count(chars)
-    if theorem is TheoremId.SAUER:
-        return size, binom[vc_dims(chars, n)]
-    if theorem is TheoremId.MAIN:
-        return size, half[vc_dims(pairwise_chars(chars, chars, n, "sym_diff"), n)]
-    if theorem is TheoremId.INTDEG_MAIN:
-        return size, half[int_degs(pairwise_chars(chars, chars, n, "sym_diff"), n)]
-    if theorem is TheoremId.INTDEG_LE_VC:
-        return int_degs(chars, n), vc_dims(chars, n)
-    # TheoremId.VC_MONOTONE
+def _binoms(n: int) -> np.ndarray:
+    return np.array([binom_sum(n, d) for d in range(n + 1)])
+
+
+def _halves(n: int) -> np.ndarray:
+    return np.array([2 * binom_sum(n, d // 2) for d in range(n + 1)])
+
+
+def _sym_diff_chars(chars: np.ndarray, n: int) -> np.ndarray:
+    return pairwise_chars(chars, chars, n, "sym_diff")
+
+
+def _vc_monotone_chars(chars: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     stars = [vc_dims(pairwise_chars(chars, chars, n, op), n) for op in ("sym_diff", "intersect", "union")]
     return vc_dims(chars, n), np.minimum.reduce(stars)
 
 
-# exhaustive family scans of these theorems run on char arrays (_char_inequality)
-_CHAR_THEOREMS = frozenset(
-    {TheoremId.SAUER, TheoremId.MAIN, TheoremId.INTDEG_MAIN, TheoremId.INTDEG_LE_VC, TheoremId.VC_MONOTONE}
-)
+# (lhs, rhs) arrays of _instance_inequality for every family in a char array,
+# for the theorems whose exhaustive scans run on chars; the rest stay per instance
+_CHAR_INEQUALITIES = {
+    TheoremId.SAUER: lambda chars, n: (popcounts(chars), _binoms(n)[vc_dims(chars, n)]),
+    TheoremId.MAIN: lambda chars, n: (popcounts(chars), _halves(n)[vc_dims(_sym_diff_chars(chars, n), n)]),
+    TheoremId.INTDEG_MAIN: lambda chars, n: (popcounts(chars), _halves(n)[int_degs(_sym_diff_chars(chars, n), n)]),
+    TheoremId.INTDEG_LE_VC: lambda chars, n: (int_degs(chars, n), vc_dims(chars, n)),
+    TheoremId.VC_MONOTONE: _vc_monotone_chars,
+}
 
 
 def _check(theorem: TheoremId, p: int | None, n: int, chunk) -> _ScanState:
     """Check one chunk: a range of chars (or F_2 coefficient masks for
     clp_bound) from an exhaustive scan, or a list of sampled instances."""
     if isinstance(chunk, range):
-        if theorem in _CHAR_THEOREMS:
+        char_inequality = _CHAR_INEQUALITIES.get(theorem)
+        if char_inequality is not None:
             state = _ScanState(partial(_char_dict, n=n))
-            lhs, rhs = _char_inequality(theorem, char_array(chunk), n)
+            lhs, rhs = char_inequality(np.arange(chunk.start, chunk.stop, dtype=np.int64), n)
             for char, left, right in zip(chunk, lhs.tolist(), rhs.tolist()):
                 state.record(char, left, right)
             return state
@@ -524,8 +529,9 @@ def search_open_question(
         best: tuple[int, tuple[int, ...]] | None = None
         # ascending chars: keep the first char of each new largest feasible size
         for start in range(0, len(keys), CHUNK):
-            chars = char_array(keys[start : start + CHUNK])
-            sizes = np.where(_feasible_chars(question, chars, n, d), np.bitwise_count(chars), 0)
+            chunk = keys[start : start + CHUNK]
+            chars = np.arange(chunk.start, chunk.stop, dtype=np.int64)
+            sizes = np.where(_feasible_chars(question, chars, n, d), popcounts(chars), 0)
             first = int(sizes.argmax())
             if sizes[first] and (best is None or sizes[first] > best[0]):
                 best = (int(sizes[first]), char_members(int(chars[first]), n))

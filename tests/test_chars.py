@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sumsetvc import ParameterError, SetFamily, embed_01, int_deg, pairwise_family, vc_dim
-from sumsetvc.chars import char_array, char_members, int_degs, pairwise_chars, vc_dims
+from sumsetvc.chars import char_members, int_degs, pairwise_chars, popcounts, vc_dims
 
 from oracles import naive_vc_dim
 
@@ -15,7 +15,7 @@ SMALL_N = (1, 2, 3)
 
 
 def families(n):
-    chars = char_array(range(1, 1 << (1 << n)))
+    chars = np.arange(1, 1 << (1 << n), dtype=np.int64)
     return chars, [SetFamily(n, char_members(c, n)) for c in chars.tolist()]
 
 
@@ -23,6 +23,12 @@ def test_char_members_lists_the_set_bits():
     assert char_members(0b1010_0001, 3) == (0, 5, 7)
     assert char_members(1, 1) == (0,)
     assert char_members(0, 2) == ()
+
+
+def test_popcounts_match_bit_count():
+    rng = random.Random(3)
+    values = [0, 1, (1 << 32) - 1, 1 << 31, 0x5555_5555, 0xAAAA_AAAA] + [rng.randrange(1 << 32) for _ in range(500)]
+    assert popcounts(np.array(values, dtype=np.int64)).tolist() == [v.bit_count() for v in values]
 
 
 @pytest.mark.parametrize("n", SMALL_N)
@@ -74,7 +80,7 @@ def test_kernels_take_one_chunk_at_a_time():
 
 
 def test_kernels_reject_n_outside_int64_chars():
-    chars = char_array(range(1, 4))
+    chars = np.arange(1, 4, dtype=np.int64)
     for n in (0, 6):
         with pytest.raises(ParameterError, match="char kernels need 1 <= n <= 5"):
             vc_dims(chars, n)

@@ -147,6 +147,10 @@ def recorded_stream(monkeypatch, scan):
     return stream
 
 
+def test_char_theorems_are_the_family_theorems_without_a_modulus():
+    assert sorted(t.value for t in verify_module._CHAR_INEQUALITIES) == sorted(CHAR_THEOREMS)
+
+
 @pytest.mark.parametrize("theorem", CHAR_THEOREMS)
 def test_char_scan_records_the_per_instance_stream(monkeypatch, theorem):
     for n in (1, 2, 3):
@@ -158,7 +162,7 @@ def test_char_scan_records_the_per_instance_stream(monkeypatch, theorem):
 
 def per_instance_scan(monkeypatch, theorem, n):
     with monkeypatch.context() as m:
-        m.setattr(verify_module, "_CHAR_THEOREMS", frozenset())
+        m.setattr(verify_module, "_CHAR_INEQUALITIES", {})
         return exhaustive_scan(theorem, n)
 
 
@@ -392,6 +396,15 @@ def test_exhaustive_search_matches_the_ascending_loop(question, monkeypatch):
             row = search_open_question(question, n, d, "exhaustive").rows[0]
             assert (row.best_size, row.certificate) == ascending_search(question, n, d), (n, d)
             assert row.instances_examined == (1 << (1 << n)) - 1
+
+
+def test_char_scans_and_search_run_without_numpy_bitwise_count(monkeypatch):
+    # numpy 1.x, which the package supports, has no np.bitwise_count
+    scans = {t: exhaustive_scan(t, 2) for t in CHAR_THEOREMS}
+    rows = {q: search_open_question(q, 2, 1).rows for q in ("q1", "q2")}
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
+    assert {t: exhaustive_scan(t, 2) for t in CHAR_THEOREMS} == scans
+    assert {q: search_open_question(q, 2, 1).rows for q in ("q1", "q2")} == rows
 
 
 def test_search_heuristic_mode():
