@@ -1,10 +1,22 @@
 """Dense matrices over prime fields and exact rank computation.
 
 Two elimination paths share one pivot rule (first nonzero entry in column
-order, scanning rows top-down): an XOR path for p=2 with rows packed into
-Python integers, and a vectorized modular path for general p. Only rank
-values are observable and the two paths must agree; a differential test
-enforces this.
+order, scanning rows top-down), and only rank values are observable; a
+differential test makes them agree.
+
+- p = 2: rows packed into Python integers and reduced by XOR
+  (`rank_gf2_packed`, a `SpanTrackerGF2` loop).
+- General p: row echelon on an int64 copy (`_rank_generic`). A pivot at
+  (r, c) updates only the trailing block m[r+1:, c+1:], since nothing above
+  or left of it is read again. The pivot column is reduced mod p when it is
+  read and the pivot row is reduced and scaled by the pivot's inverse, so an
+  update subtracts products of residues, each at most (p-1)^2. The block
+  itself is reduced mod p only when one more update could leave int64: after
+  k updates since its last reduction its entries lie within
+  ±(p + k*(p-1)^2) < 2**63. This keeps the arithmetic exact for every
+  modulus that `check_modulus` admits (p*p < 2**63). The schedule depends on
+  p alone: at p = 3 the block is never reduced, at p = 3037000493 before
+  every update after the first.
 """
 
 from __future__ import annotations
@@ -81,23 +93,31 @@ def rank_gf2_packed(rows: Iterable[int]) -> int:
     return tracker.rank
 
 
+_INT64_MAX = 2**63 - 1
+
+
 def _rank_generic(array: np.ndarray, p: int) -> int:
     m = array.copy()
     n_rows, n_cols = m.shape
+    step = (p - 1) ** 2  # the most one update moves an entry of the trailing block
+    bound = p  # |entry| of the trailing block stays at most this
     r = 0
     for c in range(n_cols):
-        nz = np.nonzero(m[r:, c])[0]
+        col = m[r:, c] % p
+        nz = col.nonzero()[0]
         if nz.size == 0:
             continue
-        piv = r + int(nz[0])
-        if piv != r:
-            m[[r, piv]] = m[[piv, r]]
-        inv = pow(int(m[r, c]), -1, p)
-        m[r] = m[r] * inv % p
-        col = m[:, c].copy()
-        col[r] = 0
-        m -= np.outer(col, m[r])
-        m %= p
+        piv = int(nz[0])
+        if piv:
+            m[[r, r + piv], c + 1 :] = m[[r + piv, r], c + 1 :]
+            col[[0, piv]] = col[[piv, 0]]
+        row = m[r, c + 1 :] % p * pow(int(col[0]), -1, p) % p
+        block = m[r + 1 :, c + 1 :]
+        if bound > _INT64_MAX - step:
+            block %= p
+            bound = p
+        block -= np.multiply.outer(col[1:], row)
+        bound += step
         r += 1
         if r == n_rows:
             break
@@ -163,21 +183,22 @@ class SpanTrackerModP:
         p = self.modulus
         cur = np.mod(np.asarray(vec, dtype=np.int64), p)
         while True:
-            nz = np.nonzero(cur)[0]
+            nz = cur.nonzero()[0]
             if nz.size == 0:
                 return cur
             j = int(nz[0])
             piv = self._pivots.get(j)
             if piv is None:
                 return cur
-            cur = (cur - cur[j] * piv) % p
+            cur -= cur[j] * piv
+            cur %= p
 
     def contains(self, vec: np.ndarray) -> bool:
         return not self.reduce(vec).any()
 
     def add(self, vec: np.ndarray) -> bool:
         cur = self.reduce(vec)
-        nz = np.nonzero(cur)[0]
+        nz = cur.nonzero()[0]
         if nz.size == 0:
             return False
         j = int(nz[0])

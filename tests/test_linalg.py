@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumsetvc import FieldMatrix, ParameterError, PointSet, ReducedPolynomial, rank
+from sumsetvc.clp import clp_matrix
 from sumsetvc.families import encode_point
 from sumsetvc.linalg import (
     SpanTrackerGF2,
@@ -12,7 +13,12 @@ from sumsetvc.linalg import (
     pack_gf2_rows,
     rank_gf2_packed,
 )
-from sumsetvc.polynomials import CUBE_MATERIALIZE_LIMIT, values_at, values_on_cube
+from sumsetvc.polynomials import (
+    CUBE_MATERIALIZE_LIMIT,
+    random_polynomial,
+    values_at,
+    values_on_cube,
+)
 from sumsetvc.sampling import SplitMix64
 
 from oracles import naive_rank
@@ -134,6 +140,31 @@ def test_modulus_boundary_for_exact_int64_products():
         PointSet(too_large, 1, (0,))
     with pytest.raises(ParameterError):
         ReducedPolynomial.constant(too_large, 1, 1)
+
+
+@pytest.mark.parametrize("p", [3, 65537, 2147483647, 3037000493])
+def test_rank_of_low_rank_products_matches_naive_rank(p):
+    # u v with an 8..16 x k and a k x 8..16 factor has rank k (all but surely),
+    # below the matrix side, so the trailing block takes k updates. Left
+    # unreduced, it can leave int64 after two updates at 3037000493 and after
+    # three at 2147483647; after the last update its entries are 0 mod p but
+    # not 0, so a residue read unreduced shows as a spurious pivot.
+    gen = SplitMix64(p)
+    for _ in range(12):
+        rows, cols = 8 + gen.below(9), 8 + gen.below(9)
+        k = 1 + gen.below(min(rows, cols) - 1)
+        u = [[gen.below(p) for _ in range(k)] for _ in range(rows)]
+        v = [[gen.below(p) for _ in range(cols)] for _ in range(k)]
+        matrix = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*v)] for row in u]
+        assert rank(FieldMatrix.from_rows(p, matrix)) == naive_rank(matrix, p)
+
+
+@pytest.mark.parametrize("p,n", [(3, 4), (5, 3)])
+def test_clp_matrix_rank_matches_naive_rank(p, n):
+    gen = SplitMix64(10 * p + n)
+    for d in (1, 3, 5):
+        m = clp_matrix(random_polynomial(p, n, d, gen))
+        assert rank(m) == naive_rank(m.array.tolist(), p)
 
 
 ORACLE_PRIMES = (2, 3, 5, 7, 65537, 2147483647, 3037000493)
