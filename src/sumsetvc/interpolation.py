@@ -29,8 +29,8 @@ from .linalg import FieldMatrix, SpanTrackerGF2, SpanTrackerModP
 from .polynomials import (
     MonomialBasis,
     ReducedPolynomial,
+    _grade,
     monomial_values,
-    monomials_of_degree,
     point_digits,
 )
 from .vc import vc_dim
@@ -66,12 +66,6 @@ def evaluation_matrix(domain: PointSet, basis: MonomialBasis) -> FieldMatrix:
     for j, expvec in enumerate(basis.monomials):
         out[:, j] = monomial_values(digits, expvec, p)
     return FieldMatrix(p, out)
-
-
-@lru_cache(maxsize=256)
-def _grade(p: int, n: int, d: int) -> tuple[tuple[int, ...], ...]:
-    """The reduced monomials of total degree d, in canonical basis order."""
-    return tuple(monomials_of_degree(p, n, d))
 
 
 def _grade_columns(p: int, n: int, points: tuple[int, ...]):

@@ -74,6 +74,15 @@ def monomials_of_degree(p: int, n: int, d: int):
             yield (e,) + rest
 
 
+@lru_cache(maxsize=256)
+def _grade(p: int, n: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """The reduced monomials of total degree d, in canonical basis order.
+
+    The one memo of grades: bases chain them and graded spans absorb them.
+    """
+    return tuple(monomials_of_degree(p, n, d))
+
+
 @dataclass(frozen=True)
 class MonomialBasis:
     """Ordered monomial basis for total degree <= max_degree."""
@@ -94,7 +103,7 @@ def monomial_basis(p: int, n: int, d: int) -> MonomialBasis:
         raise ParameterError(f"d must be nonnegative, got {d}")
     check_power(p, n, ENCODING_LIMIT, "exact-encoding size p**n", ParameterError)
     d = min(d, (p - 1) * n)
-    vectors = chain.from_iterable(monomials_of_degree(p, n, k) for k in range(d + 1))
+    vectors = chain.from_iterable(_grade(p, n, k) for k in range(d + 1))
     return MonomialBasis(p, n, d, tuple(vectors))
 
 

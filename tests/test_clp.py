@@ -14,6 +14,7 @@ from sumsetvc import (
     embed_01,
     indicator_of_zero,
     k_fold_sumset,
+    monomial_basis,
     monomial_count,
     random_polynomial,
     rank,
@@ -22,7 +23,9 @@ from sumsetvc import (
     sum_tensor,
     verify_clp_bound,
 )
-from sumsetvc.clp import decomposition_values, sum_grid_values
+from sumsetvc.cli import run as run_cli
+from sumsetvc.clp import _gf2_sum_rows, decomposition_values, sum_grid_values
+from sumsetvc.linalg import _rank_generic, pack_gf2_rows
 from sumsetvc.sampling import SplitMix64, sample_distinct
 
 
@@ -82,6 +85,47 @@ def test_verify_clp_bound_small_corpora():
     for i in range(30):
         poly = random_polynomial(3, 3, i % 7, gen)
         assert verify_clp_bound(poly).ok
+
+
+def test_gf2_sum_rows_equal_packed_clp_matrix_for_every_small_polynomial():
+    for n in (1, 2, 3):
+        monomials = monomial_basis(2, n, n).monomials
+        for char in range(1 << len(monomials)):
+            poly = ReducedPolynomial(
+                2, n, {e: 1 for i, e in enumerate(monomials) if char >> i & 1}
+            )
+            assert _gf2_sum_rows(poly) == pack_gf2_rows(clp_matrix(poly)), poly
+
+
+def test_gf2_sum_rows_equal_packed_clp_matrix_on_seeded_polynomials():
+    gen = SplitMix64(909)
+    for n in range(4, 11):
+        polys = [ReducedPolynomial.zero(2, n), indicator_of_zero(2, n)]
+        polys += [random_polynomial(2, n, d, gen) for d in range(n + 1)]
+        assert polys[1].degree() == n
+        for poly in polys:
+            assert _gf2_sum_rows(poly) == pack_gf2_rows(clp_matrix(poly)), poly
+
+
+def test_verify_clp_bound_gf2_rank_matches_generic_elimination():
+    gen = SplitMix64(808)
+    for d in range(9):
+        poly = random_polynomial(2, 8, d, gen)
+        assert verify_clp_bound(poly).rank == _rank_generic(clp_matrix(poly).array, 2)
+
+
+def test_verify_clp_bound_gf2_keeps_the_matrix_side_guard(capsys):
+    poly = random_polynomial(2, 13, 2, SplitMix64(13))
+    with pytest.raises(ResourceLimitError, match="matrix side p\\*\\*n"):
+        verify_clp_bound(poly)  # 2^13 > default guard
+    report = verify_clp_bound(poly, point_limit=1 << 13)
+    assert report.ok and report.bound == 2 * monomial_count(2, 13, 1)
+    with pytest.raises(ResourceLimitError, match="cube points p\\*\\*n"):
+        verify_clp_bound(ReducedPolynomial.zero(2, 27), point_limit=1 << 27)
+    assert run_cli(["clp-rank", "--p", "2", "--n", "13", "--d", "2", "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_degree_zero_bound():
