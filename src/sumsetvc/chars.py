@@ -1,7 +1,18 @@
 """Batched kernels over families of 2^[n] given by their characteristic integers.
 
-A family A of subsets of [n] is its char: bit m is set iff the member with
-bitmask m is in A. The exhaustive scans enumerate families as the chars
+Bit space. A function on F_2^n (equivalently, a family of subsets of [n]) is
+stored as an integer with bit m equal to its value at the point, or member,
+with bitmask m. This module defines the layout once for the whole package:
+
+    _coord_masks(n)[j]  the points with coordinate j equal to 0 (bit j of m clear)
+    _subset_sums(v, n)  bit m becomes the XOR of the bits of v at the subsets of m,
+                        so the coefficients of the monomials x^S give the values
+    _images(v, n, op)   row t is v under m -> m op t; for sym_diff, the translate
+                        by t, which swaps the two halves of every coordinate in t
+    _cube_masks(n)      the GF(2) monomial columns: bit m of x^S's column is set
+                        iff S ⊆ m
+
+A family A is its char. The exhaustive scans enumerate families as the chars
 1 .. 2**(2**n) - 1, and these kernels evaluate a whole int64 array of chars
 at once, so n <= CHAR_MAX_N (2**5 member bits fit in int64). Each kernel is
 the array twin of a per-instance kernel, which stays the reference the
@@ -12,6 +23,8 @@ tests compare it with:
     int_degs        interpolation.int_deg of the 0/1 embedding in F_2^n
 
 The masks a kernel needs depend on n only; they are built on first use.
+`_images` also takes an object array of Python ints for any n, which is how
+`clp` builds the F_2 sum matrix rows.
 """
 
 from __future__ import annotations
@@ -22,7 +35,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .families import PAIRWISE_OPS
-from .polynomials import monomials_of_degree
+from .interpolation import _grade_columns
 
 CHAR_MAX_N = 5
 
@@ -76,11 +89,23 @@ def vc_dims(chars: np.ndarray, n: int) -> np.ndarray:
     return (shattered * sizes[:, None]).max(axis=0)
 
 
-@lru_cache(maxsize=None)
-def _low_masks(n: int) -> tuple[int, ...]:
-    """For each coordinate j, the char of the masks m with bit j clear."""
-    _positions(n)
-    return tuple(_mask(n, lambda m: not m >> j & 1) for j in range(n))
+@lru_cache(maxsize=16)
+def _coord_masks(n: int) -> tuple[int, ...]:
+    """For each coordinate j, the char of the masks m with bit j clear.
+
+    The mask repeats 2**j ones and 2**j zeros: that block times the
+    repunit in base 2**(2**(j+1)) spanning the 2**n bits.
+    """
+    full = (1 << (1 << n)) - 1
+    return tuple(full // ((1 << (2 << j)) - 1) * ((1 << (1 << j)) - 1) for j in range(n))
+
+
+def _subset_sums(v: int, n: int) -> int:
+    """The subset-sum (Moebius) transform over F_2: bit m of the result is
+    the XOR of bit S of v over every S ⊆ m, one coordinate at a time."""
+    for j, low in enumerate(_coord_masks(n)):
+        v ^= (v & low) << (1 << j)
+    return v
 
 
 def _images(chars: np.ndarray, n: int, op: str) -> np.ndarray:
@@ -90,11 +115,12 @@ def _images(chars: np.ndarray, n: int, op: str) -> np.ndarray:
     coordinate j at a time: step j doubles them, and the new second half has
     bit j of t set. For xor that half swaps the halves of coordinate j; for
     and, the first half folds coordinate j down to 0; for or, the second half
-    folds it up to 1.
+    folds it up to 1. It checks no n: an object array of Python ints takes
+    any n.
     """
     full = (1 << (1 << n)) - 1
     imgs = chars[None, :]
-    for j, low in enumerate(_low_masks(n)):
+    for j, low in enumerate(_coord_masks(n)):
         s = 1 << j
         if op == "sym_diff":
             imgs = np.concatenate((imgs, ((imgs & low) << s) | ((imgs >> s) & low)))
@@ -110,7 +136,7 @@ def pairwise_chars(a: np.ndarray, b: np.ndarray, n: int, op: str) -> np.ndarray:
     the OR, over t in B, of the image of A under m -> m op t."""
     if op not in PAIRWISE_OPS:
         raise ParameterError(f"unknown pairwise op {op!r}; expected one of {PAIRWISE_OPS}")
-    t = np.arange(1 << n, dtype=np.int64)
+    t = np.array(_positions(n), dtype=np.int64)
     take = (b[None, :] >> t[:, None]) & 1
     return np.bitwise_or.reduce(_images(a, n, op) * take, axis=0)
 
@@ -118,13 +144,9 @@ def pairwise_chars(a: np.ndarray, b: np.ndarray, n: int, op: str) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _cube_masks(n: int) -> tuple[tuple[int, ...], ...]:
     """For each grade d, cube_mask(S) of the degree-d monomials x^S in
-    canonical order, where bit m of cube_mask(S) is set iff S ⊆ m."""
-    _positions(n)
-    grades = []
-    for d in range(n + 1):
-        subsets = [sum(e << i for i, e in enumerate(expvec)) for expvec in monomials_of_degree(2, n, d)]
-        grades.append(tuple(_mask(n, lambda m: s & ~m == 0) for s in subsets))
-    return tuple(grades)
+    canonical order: their GF(2) columns on all of F_2^n, bit m set iff S ⊆ m."""
+    columns = _grade_columns(2, n, tuple(_positions(n)))
+    return tuple(tuple(columns(d)) for d in range(n + 1))
 
 
 def int_degs(chars: np.ndarray, n: int) -> np.ndarray:

@@ -74,7 +74,7 @@ OPERATION_COVERAGE = {
     "shattered_sets": "vcdim",
     "vc_dim": "vcdim",
     "monomial_count": "clp-rank",
-    "monomial_basis": "intdeg",
+    "monomial_basis": "clp-rank",
     "evaluation_matrix": "intdeg",
     "rank": "clp-rank",
     "deg_on_set": "intdeg",

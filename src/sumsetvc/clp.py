@@ -8,18 +8,10 @@ a sum of terms, each multiplicative in the axis whose variable group got
 low degree (ties broken toward the lowest axis index), giving an explicit
 decomposition with at most k * |monomials of degree <= floor(d/k)| terms.
 
-Over F_2 the rank is taken without a dense matrix. Row x of M, read as an
-integer with bit y = M[x, y], is built in bit space in two steps. First the
-values: bit S of an integer is set for each term x^S of P, and the
-subset-sum (Moebius) transform v ^= (v & low_i) << 2**i over the
-coordinates i, where low_i masks the points with x_i = 0, leaves bit y of
-v equal to P(y) = sum of c_S over S contained in y. Then the translates:
-over F_2, x + y is x XOR y, so row x is v with bits y and y XOR x
-exchanged, and each coordinate i of x swaps the two halves of coordinate
-i. Starting from [v] and appending, for each i, every row so far with its
-halves swapped lists the rows in encoded point order. They are bit for bit
-the packed rows of clp_matrix, so the packed GF(2) rank kernel returns the
-same rank; only the p**n x p**n int64 matrix and its gather are gone.
+Over F_2 the rank is taken without a dense matrix: row x of M, read as an
+integer with bit y = M[x, y], is P's value integer translated by x in the
+bit space of `sumsetvc.chars`. The rows are bit for bit the packed rows of
+clp_matrix, so the packed GF(2) rank kernel returns the same rank.
 
 The other direction is the diagonal lower bound: a k-fold tensor that
 vanishes off the equal-index diagonal has slice rank equal to its number
@@ -36,6 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .chars import _images, _subset_sums
 from .errors import DimensionMismatchError, ParameterError, ResourceLimitError
 from .families import PointSet, add_points, check_power, encode_point
 from .linalg import FieldMatrix, rank, rank_gf2_packed
@@ -122,37 +115,19 @@ def clp_matrix(poly: ReducedPolynomial, *, point_limit: int = DEFAULT_POINT_LIMI
     return FieldMatrix(p, vals[_pairwise_sum_index(p, n)])
 
 
-@lru_cache(maxsize=16)
-def _low_halves(n: int) -> tuple[int, ...]:
-    """Per coordinate i, the bitmask of the points of F_2^n with x_i = 0.
-
-    The mask repeats 2**i ones and 2**i zeros: that block times the
-    repunit in base 2**(2**(i+1)) spanning the 2**n bits.
-    """
-    full = (1 << (1 << n)) - 1
-    return tuple(full // ((1 << (2 << i)) - 1) * ((1 << (1 << i)) - 1) for i in range(n))
-
-
 def _gf2_sum_rows(poly: ReducedPolynomial, *, point_limit: int = DEFAULT_POINT_LIMIT) -> list[int]:
     """Rows of M[x, y] = P(x + y) over F_2 as integers, bit y of row x = M[x, y].
 
-    Equal to pack_gf2_rows(clp_matrix(poly)), built in bit space as the
-    module docstring describes, under the same guards.
+    Equal to pack_gf2_rows(clp_matrix(poly)), under the same guards: bit S
+    is set for each term x^S of P, the subset sums make bit y equal P(y),
+    and row x is that integer translated by x.
     """
     n = poly.dimension
     check_power(2, n, point_limit, "matrix side p**n", ResourceLimitError)
     check_power(2, n, CUBE_MATERIALIZE_LIMIT, "cube points p**n", ResourceLimitError)
-    low = _low_halves(n)
-    v = 0
-    for expvec in poly.terms:
-        v |= 1 << encode_point(expvec, 2)
-    for i, mask in enumerate(low):
-        v ^= (v & mask) << (1 << i)
-    rows = [v]
-    for i, mask in enumerate(low):
-        shift = 1 << i
-        rows += [((r & mask) << shift) | ((r >> shift) & mask) for r in rows]
-    return rows
+    coeffs = sum(1 << encode_point(expvec, 2) for expvec in poly.terms)
+    values = np.array([_subset_sums(coeffs, n)], dtype=object)
+    return _images(values, n, "sym_diff")[:, 0].tolist()
 
 
 def verify_clp_bound(

@@ -330,16 +330,7 @@ def embed_01(a: SetFamily, p: int) -> PointSet:
     n = a.ground_size
     if p == 2:
         return PointSet(2, n, a.members)
-    points = []
-    for mask in a.members:
-        value = 0
-        weight = 1
-        for i in range(n):
-            if mask >> i & 1:
-                value += weight
-            weight *= p
-        points.append(value)
-    return PointSet.from_points(p, n, points)
+    return PointSet.from_points(p, n, (encode_point(decode_point(m, 2, n), p) for m in a.members))
 
 
 def family_from_points(points: PointSet) -> SetFamily:

@@ -24,7 +24,7 @@ from itertools import compress
 import numpy as np
 
 from .errors import DimensionMismatchError, ParameterError, WitnessNotFoundError
-from .families import PointSet, SetFamily
+from .families import PointSet, SetFamily, decode_point
 from .linalg import FieldMatrix, SpanTrackerGF2, SpanTrackerModP
 from .polynomials import (
     MonomialBasis,
@@ -108,9 +108,8 @@ def _graded_span(p: int, n: int, points: tuple[int, ...]):
     Columns (see _grade_columns) go to a SpanTrackerGF2 for p = 2 and to a
     SpanTrackerModP otherwise; each grade is enumerated only when reached.
     """
-    m = len(points)
     columns = _grade_columns(p, n, points)
-    tracker = SpanTrackerGF2(m) if p == 2 else SpanTrackerModP(p, m)
+    tracker = SpanTrackerGF2() if p == 2 else SpanTrackerModP(p)
     for d in range((p - 1) * n + 1):
         for col in columns(d):
             tracker.add(col)
@@ -210,9 +209,4 @@ def represent_monomial(family: SetFamily, monomial_mask: int) -> ReducedPolynomi
         memo[mask] = result
         return result
 
-    masks = rep(monomial_mask)
-    terms = {
-        tuple((mask >> i) & 1 for i in range(n)): 1
-        for mask in masks
-    }
-    return ReducedPolynomial(2, n, terms)
+    return ReducedPolynomial(2, n, {decode_point(mask, 2, n): 1 for mask in rep(monomial_mask)})

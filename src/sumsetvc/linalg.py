@@ -86,8 +86,7 @@ def pack_gf2_rows(matrix: FieldMatrix) -> list[int]:
 
 def rank_gf2_packed(rows: Iterable[int]) -> int:
     """Rank over F_2 of bit-packed rows; pivots claimed in column order."""
-    rows = list(rows)
-    tracker = SpanTrackerGF2(max(rows, default=0).bit_length())
+    tracker = SpanTrackerGF2()
     for row in rows:
         tracker.add(row)
     return tracker.rank
@@ -132,12 +131,11 @@ def rank(matrix: FieldMatrix) -> int:
 
 
 class SpanTrackerGF2:
-    """Incrementally tracked span of bit-packed length-m vectors over F_2."""
+    """Incrementally tracked span of bit-packed vectors over F_2."""
 
-    __slots__ = ("length", "_pivots")
+    __slots__ = ("_pivots",)
 
-    def __init__(self, length: int):
-        self.length = length
+    def __init__(self):
         self._pivots: dict[int, int] = {}
 
     @property
@@ -165,14 +163,13 @@ class SpanTrackerGF2:
 
 
 class SpanTrackerModP:
-    """Incrementally tracked span of length-m vectors over F_p, pivots normalized."""
+    """Incrementally tracked span of equal-length vectors over F_p, pivots normalized."""
 
-    __slots__ = ("modulus", "length", "_pivots")
+    __slots__ = ("modulus", "_pivots")
 
-    def __init__(self, modulus: int, length: int):
+    def __init__(self, modulus: int):
         check_modulus(modulus)
         self.modulus = modulus
-        self.length = length
         self._pivots: dict[int, np.ndarray] = {}
 
     @property

@@ -28,6 +28,7 @@ from .families import (
     SetFamily,
     binom_sum,
     check_modulus,
+    decode_point,
     embed_01,
     generate_family,
     k_fold_sumset,
@@ -224,11 +225,7 @@ def _char_dict(char: int, n: int) -> dict:
 
 
 def _poly_from_coeff_mask(coeff_mask: int, n: int) -> ReducedPolynomial:
-    terms = {}
-    for mono in range(1 << n):
-        if coeff_mask >> mono & 1:
-            terms[tuple(mono >> i & 1 for i in range(n))] = 1
-    return ReducedPolynomial(2, n, terms)
+    return ReducedPolynomial(2, n, {decode_point(m, 2, n): 1 for m in char_members(coeff_mask, n)})
 
 
 def _binoms(n: int) -> np.ndarray:

@@ -1,13 +1,24 @@
 """The batched char kernels against their per-instance twins, on every
 nonempty family of 2^[n] for n <= 3 and on sampled families at n = 5."""
 
+import math
 import random
 
 import numpy as np
 import pytest
 
 from sumsetvc import ParameterError, SetFamily, embed_01, int_deg, pairwise_family, vc_dim
-from sumsetvc.chars import char_members, int_degs, pairwise_chars, popcounts, vc_dims
+from sumsetvc.chars import (
+    _coord_masks,
+    _cube_masks,
+    _images,
+    _subset_sums,
+    char_members,
+    int_degs,
+    pairwise_chars,
+    popcounts,
+    vc_dims,
+)
 
 from oracles import naive_vc_dim
 
@@ -29,6 +40,40 @@ def test_popcounts_match_bit_count():
     rng = random.Random(3)
     values = [0, 1, (1 << 32) - 1, 1 << 31, 0x5555_5555, 0xAAAA_AAAA] + [rng.randrange(1 << 32) for _ in range(500)]
     assert popcounts(np.array(values, dtype=np.int64)).tolist() == [v.bit_count() for v in values]
+
+
+def bits(n, keep):
+    return sum(1 << m for m in range(1 << n) if keep(m))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_coord_masks_hold_the_points_with_coordinate_j_clear(n):
+    assert _coord_masks(n) == tuple(bits(n, lambda m: not m >> j & 1) for j in range(n))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_subset_sums_of_one_bit_are_its_supersets(n):
+    for s in range(1 << n):
+        assert _subset_sums(1 << s, n) == bits(n, lambda m: s & ~m == 0)
+
+
+def test_cube_masks_are_the_superset_masks_of_each_grade():
+    for n in range(1, 6):
+        grades = _cube_masks(n)
+        assert [len(g) for g in grades] == [math.comb(n, d) for d in range(n + 1)]
+        for d, grade in enumerate(grades):
+            assert sorted(grade) == sorted(_subset_sums(1 << s, n) for s in range(1 << n) if s.bit_count() == d)
+
+
+@pytest.mark.parametrize("n", range(6, 10))
+def test_sym_diff_images_translate_python_ints_past_int64(n):
+    rng = random.Random(n)
+    values = [0, (1 << (1 << n)) - 1, 1 << ((1 << n) - 1), rng.getrandbits(1 << n)]
+    imgs = _images(np.array(values, dtype=object), n, "sym_diff")
+    assert imgs.shape == (1 << n, len(values))
+    for t, row in enumerate(imgs.tolist()):
+        assert all(type(r) is int for r in row)
+        assert row == [bits(n, lambda m: v >> (m ^ t) & 1) for v in values]
 
 
 @pytest.mark.parametrize("n", SMALL_N)

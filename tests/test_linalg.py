@@ -91,7 +91,7 @@ def test_pack_gf2_rows_round_trip():
 
 
 def test_span_tracker_gf2_membership():
-    tracker = SpanTrackerGF2(4)
+    tracker = SpanTrackerGF2()
     assert tracker.add(0b0011)
     assert tracker.add(0b0101)
     assert not tracker.add(0b0110)  # xor of the first two
@@ -108,7 +108,7 @@ def test_span_tracker_modp_matches_matrix_rank():
             rows = 1 + gen.below(8)
             cols = 1 + gen.below(8)
             m = random_matrix(p, rows, cols, gen)
-            tracker = SpanTrackerModP(p, rows)
+            tracker = SpanTrackerModP(p)
             for j in range(cols):
                 tracker.add(m.array[:, j])
             assert tracker.rank == rank(m)
@@ -129,7 +129,7 @@ def test_modulus_boundary_for_exact_int64_products():
         ]
         m = FieldMatrix.from_rows(largest, rows)
         assert rank(m) == 2
-        tracker = SpanTrackerModP(largest, 5)
+        tracker = SpanTrackerModP(largest)
         for j in range(5):
             tracker.add(m.array[:, j])
         assert tracker.rank == 2
@@ -183,7 +183,7 @@ def test_kernels_match_oracles_at_random_primes(data):
     expected = naive_rank(matrix, p)
     m = FieldMatrix.from_rows(p, matrix)
     assert rank(m) == expected
-    tracker = SpanTrackerModP(p, rows)
+    tracker = SpanTrackerModP(p)
     for j in range(cols):
         tracker.add(m.array[:, j])
     assert tracker.rank == expected
