@@ -8,6 +8,16 @@ Both are computed with one incremental elimination state that absorbs
 monomial columns grade by grade, so the cost is a single pass up to the
 answer rather than one elimination per candidate degree.
 
+int_deg spans the smaller side of the partition X ⊔ Y = F_p^n. Write H_X(d)
+for the rank after grade d (the affine Hilbert function) and dH_X(d) =
+H_X(d) - H_X(d-1); int_deg(X) is the largest d with dH_X(d) > 0. F_p^n is
+the complete intersection of the x_i^p - x_i, with socle degree
+s = (p-1)n, and linkage gives dH_X(d) + dH_Y(s - d) = dH_cube(d), where
+dH_cube(d) counts the reduced monomials of degree d (Davis-Geramita-
+Orecchia, Proc. AMS 93, 1985; Croot-Lev-Pach, Ann. Math. 185, 2017). So when
+X holds more than half the cube, int_deg(X) is read off the span of Y, and
+only Y's grades are built.
+
 Also here: the constructive side of the bound int_deg <= VC-dim for p=2.
 A monomial on an unshattered coordinate set S vanishes against the absent
 pattern: the product of (x_i + v_i + 1) over i in S is identically zero on
@@ -30,6 +40,7 @@ from .polynomials import (
     MonomialBasis,
     ReducedPolynomial,
     _grade,
+    monomial_count,
     monomial_values,
     point_digits,
 )
@@ -110,18 +121,47 @@ def _graded_span(p: int, n: int, points: tuple[int, ...]):
     """
     columns = _grade_columns(p, n, points)
     tracker = SpanTrackerGF2() if p == 2 else SpanTrackerModP(p)
+    full = len(points)
     for d in range((p - 1) * n + 1):
         for col in columns(d):
             tracker.add(col)
+            if tracker.rank == full:  # every further column reduces to zero
+                break
         yield d, tracker
     raise AssertionError("the full reduced basis spans every function")
 
 
 @lru_cache(maxsize=1 << 17)
 def _int_deg_points(p: int, n: int, points: tuple[int, ...]) -> int:
-    for d, tracker in _graded_span(p, n, points):
-        if tracker.rank == len(points):
+    """int_deg of the points, spanned on the smaller side of X and F_p^n \\ X.
+
+    On the complement Y the answer is the largest d with
+    dH_cube(d) > dH_Y(s - d) (see the module docstring); dH_Y is zero above
+    int_deg(Y), so Y is spanned only that far, and an empty Y gives s.
+    """
+    size = p**n
+    if 2 * len(points) <= size:
+        for d, tracker in _graded_span(p, n, points):
+            if tracker.rank == len(points):
+                return d
+    member = set(points)
+    rest = tuple(x for x in range(size) if x not in member)
+    steps = []  # steps[e] = dH_Y(e), the rank grade e adds on the complement Y
+    spanned = 0
+    for _, tracker in _graded_span(p, n, rest):
+        steps.append(tracker.rank - spanned)
+        spanned = tracker.rank
+        if spanned == len(rest):
+            break
+    s = (p - 1) * n
+    above = size  # monomial_count(p, n, d) for the current d
+    for e, step in enumerate(steps):
+        d = s - e
+        below = monomial_count(p, n, d - 1) if d else 0
+        if above - below > step:
             return d
+        above = below
+    return s - len(steps)
 
 
 def int_deg(domain: PointSet) -> int:

@@ -220,6 +220,32 @@ def test_k_fold_in_small_chunks_matches_enumeration_oracle(monkeypatch):
         assert k_fold_sumset(pts, k).points == naive_k_fold(pts.points, 3, 3, k)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_k_fold_matches_enumeration_oracle_at_large_primes(data):
+    p = data.draw(st.sampled_from((65537, 2147483647, 3037000493)), label="p")
+    n = data.draw(st.integers(1, 2), label="n")
+    k = data.draw(st.integers(2, 3), label="k")
+    digit = st.one_of(st.integers(p - 3, p - 1), st.integers(0, p - 1))  # sums reach 2(p-1)
+    vectors = data.draw(
+        st.lists(st.tuples(*[digit] * n), min_size=1, max_size=5, unique=True), label="points"
+    )
+    encoded = [encode_point(v, p) for v in vectors]
+    if p**n > families.ENCODING_LIMIT:
+        # the encoding guard keeps these cubes out of PointSet, but their
+        # points come close to 2**63 and the sum kernel must stay exact there
+        with pytest.raises(ParameterError):
+            PointSet.from_points(p, n, encoded)
+        arr = np.array(encoded, dtype=np.int64)
+        sums = add_points(arr[:, None], arr[None, :], p, n)
+        for i, x in enumerate(vectors):
+            for j, y in enumerate(vectors):
+                assert sums[i, j] == encode_point([(a + b) % p for a, b in zip(x, y)], p)
+        return
+    pts = PointSet.from_points(p, n, encoded)
+    assert k_fold_sumset(pts, k).points == naive_k_fold(pts.points, p, n, k)
+
+
 def test_add_points_broadcasts_over_arrays():
     for p, n in ((2, 3), (3, 2), (5, 2)):
         idx = np.arange(p**n, dtype=np.int64)

@@ -1,3 +1,6 @@
+from collections import Counter
+from itertools import combinations, islice, product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -250,6 +253,80 @@ def test_graded_span_matches_oracle_at_random_primes(data):
     assert deg_on_set(PartialFunction(dom, tuple(values))) == naive_deg_on_set(
         dom.points, p, n, values
     )
+
+
+def hilbert_steps(p, n, points):
+    """dH(d) for d = 0..s: the rank each grade of _graded_span adds on the points."""
+    s = (p - 1) * n
+    ranks = [tracker.rank for _, tracker in islice(interpolation._graded_span(p, n, points), s + 1)]
+    return [r - q for r, q in zip(ranks, [0] + ranks)]
+
+
+def cube_steps(p, n):
+    """dH_cube(d) for d = 0..s: reduced monomials of degree d, counted directly."""
+    counts = Counter(sum(e) for e in product(range(p), repeat=n))
+    return [counts[d] for d in range((p - 1) * n + 1)]
+
+
+def complement(p, n, points):
+    members = set(points)
+    return tuple(x for x in range(p**n) if x not in members)
+
+
+def assert_linked(p, n, points):
+    s = (p - 1) * n
+    steps_x = hilbert_steps(p, n, points)
+    steps_y = hilbert_steps(p, n, complement(p, n, points))
+    cube = cube_steps(p, n)
+    for d in range(s + 1):
+        assert steps_x[d] + steps_y[s - d] == cube[d], d
+
+
+# the fields of GRADED_SPAN_FIELDS small enough for the oracle on half a cube
+LINKAGE_FIELDS = [
+    (p, n) for p, top in GRADED_SPAN_FIELDS.items() for n in range(1, top + 1) if p**n <= 81
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_int_deg_of_a_large_set_matches_oracle_and_linkage(data):
+    p, n = data.draw(st.sampled_from(LINKAGE_FIELDS), label="field")
+    size = p**n
+    rest = data.draw(
+        st.lists(st.integers(0, size - 1), max_size=(size - 1) // 2, unique=True), label="complement"
+    )
+    pts = complement(p, n, rest)
+    assert 2 * len(pts) > size
+    assert int_deg(PointSet(p, n, pts)) == naive_int_deg(pts, p, n)
+    assert_linked(p, n, pts)
+
+
+def test_int_deg_through_the_complement_edges():
+    for p, n in ((2, 1), (2, 4), (3, 2), (3, 3), (5, 2), (7, 1)):
+        s = (p - 1) * n
+        assert int_deg(full_cube(p, n)) == s
+        assert_linked(p, n, tuple(range(p**n)))
+        for missing in (0, p**n - 1, p**n // 3):  # |Y| = 1
+            pts = complement(p, n, (missing,))
+            assert int_deg(PointSet(p, n, pts)) == s - 1 == naive_int_deg(pts, p, n)
+            assert_linked(p, n, pts)
+    # 2|X| == p**n stays on the direct path: every half of F_2^3
+    for half in combinations(range(8), 4):
+        assert int_deg(PointSet(2, 3, half)) == naive_int_deg(half, 2, 3)
+        assert_linked(2, 3, half)
+
+
+def test_int_deg_through_the_complement_builds_only_its_grades(monkeypatch):
+    # F_3^6 minus three points: the complement is spanned at grade 1, while
+    # the set itself would need grades up to its answer 11
+    def bounded_grade(p, n, d):
+        assert d <= 2, f"grade {d} of F_{p}^{n} built"
+        return _grade(p, n, d)
+
+    monkeypatch.setattr(interpolation, "_grade", bounded_grade)
+    interpolation._int_deg_points.cache_clear()
+    assert int_deg(PointSet(3, 6, complement(3, 6, (0, 1, 5)))) == 11
 
 
 # --- find_unshattered_witness --------------------------------------------------------
