@@ -8,7 +8,8 @@ with bitmask m. This module defines the layout once for the whole package:
     _subset_sums(v, n)  bit m becomes the XOR of the bits of v at the subsets of m,
                         so the coefficients of the monomials x^S give the values
     _images(v, n, op)   row t is v under m -> m op t; for sym_diff, the translate
-                        by t, which swaps the two halves of every coordinate in t
+                        by t, which swaps the two halves of every coordinate in t;
+                        for intersect, the trace {S ∩ t : S in v} of the family
     _cube_masks(n)      the GF(2) monomial columns: bit m of x^S's column is set
                         iff S ⊆ m
 
@@ -18,7 +19,7 @@ at once, so n <= CHAR_MAX_N (2**5 member bits fit in int64). Each kernel is
 the array twin of a per-instance kernel, which stays the reference the
 tests compare it with:
 
-    vc_dims         vc.vc_dim
+    vc_dims         vc.vc_dim: Y is shattered iff its trace is the subcube 2^Y
     pairwise_chars  families.pairwise_family
     int_degs        interpolation.int_deg of the 0/1 embedding in F_2^n
 
@@ -63,32 +64,6 @@ def _positions(n: int) -> range:
     return range(1 << n)
 
 
-def _mask(n: int, keep) -> int:
-    """The char whose members are the masks m with keep(m)."""
-    return sum(1 << m for m in _positions(n) if keep(m))
-
-
-@lru_cache(maxsize=None)
-def _shatter_masks(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """mask(Y, P) for every Y ⊆ [n] and P ⊆ Y, grouped by Y ascending, where
-    bit m of mask(Y, P) is set iff m & Y == P; with where each Y's group
-    starts and |Y|. Y is shattered by A iff char & mask(Y, P) != 0 for all P."""
-    masks, starts = [], []
-    for y in _positions(n):
-        starts.append(len(masks))
-        masks += [_mask(n, lambda m: m & y == p) for p in _positions(n) if p & ~y == 0]
-    sizes = [y.bit_count() for y in _positions(n)]
-    return np.array(masks, dtype=np.int64), np.array(starts), np.array(sizes, dtype=np.int64)
-
-
-def vc_dims(chars: np.ndarray, n: int) -> np.ndarray:
-    """VC dimension of every family in the array: the largest shattered |Y|."""
-    masks, starts, sizes = _shatter_masks(n)
-    hit = (chars[None, :] & masks[:, None]) != 0
-    shattered = np.logical_and.reduceat(hit, starts, axis=0)
-    return (shattered * sizes[:, None]).max(axis=0)
-
-
 @lru_cache(maxsize=16)
 def _coord_masks(n: int) -> tuple[int, ...]:
     """For each coordinate j, the char of the masks m with bit j clear.
@@ -131,6 +106,24 @@ def _images(chars: np.ndarray, n: int, op: str) -> np.ndarray:
     return imgs
 
 
+@lru_cache(maxsize=None)
+def _subcubes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row Y: the char of 2^Y, which is the trace of the full family on Y; and |Y|."""
+    sizes = np.array([y.bit_count() for y in _positions(n)], dtype=np.int64)
+    return _images(np.array([(1 << (1 << n)) - 1], dtype=np.int64), n, "intersect"), sizes
+
+
+def vc_dims(chars: np.ndarray, n: int) -> np.ndarray:
+    """VC dimension of every family in the array: the largest shattered |Y|.
+
+    Row Y of the intersect images is the char of the trace {S ∩ Y : S in A},
+    and Y is shattered iff that trace is all of 2^Y.
+    """
+    cubes, sizes = _subcubes(n)
+    shattered = _images(chars, n, "intersect") == cubes
+    return (shattered * sizes[:, None]).max(axis=0)
+
+
 def pairwise_chars(a: np.ndarray, b: np.ndarray, n: int, op: str) -> np.ndarray:
     """Char of {S op T : S in A, T in B} for each pair of chars (a[i], b[i]):
     the OR, over t in B, of the image of A under m -> m op t."""
@@ -166,8 +159,10 @@ def int_degs(chars: np.ndarray, n: int) -> np.ndarray:
     for d, masks in enumerate(grades):
         for mask in masks:
             v = chars & mask
-            # piv[b] has lowest bit b, so clearing bits in ascending order is final
-            for b, row in enumerate(piv):
+            # piv[b] has lowest bit b, so clearing bits in ascending order is
+            # final; v and every pivot it meets have no bit below slot S
+            start = (mask & -mask).bit_length() - 1
+            for b, row in enumerate(piv[start:], start):
                 v ^= row & -((v >> b) & 1)
             new = v != 0
             # v & -v is 2**slot, which float64 holds exactly: frexp gives slot + 1

@@ -46,9 +46,8 @@ def monomial_count(p: int, n: int, d: int) -> int:
     for _ in range(n):
         new = [0] * (min(len(counts) - 1 + (p - 1), d) + 1)
         for total, ways in enumerate(counts):
-            for e in range(p):
-                if total + e <= d:
-                    new[total + e] += ways
+            for e in range(min(p, d - total + 1)):
+                new[total + e] += ways
         counts = new
     return sum(counts)
 

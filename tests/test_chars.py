@@ -77,6 +77,16 @@ def test_sym_diff_images_translate_python_ints_past_int64(n):
 
 
 @pytest.mark.parametrize("n", SMALL_N)
+def test_intersect_images_are_the_traces(n):
+    # vc_dims rests on this: row Y is the char of the trace {S ∩ Y : S in A}
+    chars, _ = families(n)
+    imgs = _images(chars, n, "intersect")
+    for i, char in enumerate(chars.tolist()):
+        for y in range(1 << n):
+            assert imgs[y, i] == sum({1 << (m & y) for m in char_members(char, n)})
+
+
+@pytest.mark.parametrize("n", SMALL_N)
 def test_vc_dims_matches_vc_dim(n):
     chars, fams = families(n)
     got = vc_dims(chars, n).tolist()
@@ -102,9 +112,12 @@ def test_int_degs_matches_int_deg(n):
 
 
 def test_kernels_match_at_n5_on_sampled_chars():
-    # n = 5 chars use 32 bits, and pairwise images shift them up to 16 more
+    # n = 5 chars use 32 bits, and pairwise images shift them up to 16 more;
+    # the edges: the full family, the single members 0 and 31, and the
+    # families of all sets of size <= d, which reach Sauer's bound
     rng = random.Random(5)
-    sample = [(1 << 32) - 1, 1, 1 << 31] + [rng.randrange(1, 1 << 32) for _ in range(60)]
+    sample = [(1 << 32) - 1, 1, 1 << 31] + [bits(5, lambda m: m.bit_count() <= d) for d in range(6)]
+    sample += [rng.randrange(1, 1 << 32) for _ in range(60)]
     sample += [rng.randrange(1 << 32) & rng.randrange(1 << 32) | 1 << rng.randrange(32) for _ in range(60)]
     chars = np.array(sample, dtype=np.int64)
     fams = [SetFamily(5, char_members(c, 5)) for c in sample]

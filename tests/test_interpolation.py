@@ -24,7 +24,7 @@ from sumsetvc import (
     represent_monomial,
     vc_dim,
 )
-from sumsetvc.families import FamilyKind, decode_point
+from sumsetvc.families import ENCODING_LIMIT, FamilyKind, decode_point, encode_point
 from sumsetvc.interpolation import _grade, _grade_columns
 from sumsetvc.linalg import pack_bits
 from sumsetvc.polynomials import monomial_values, point_digits
@@ -73,6 +73,33 @@ def test_evaluation_matrix_at_large_primes():
                 for x, e in zip(digits, expvec):
                     want = want * pow(x, e, p) % p
                 assert m.array[i, j] == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_evaluation_matrix_matches_pow_at_random_primes(data):
+    p = data.draw(st.sampled_from((3, 65537, 2147483647, 3037000493)), label="p")
+    n = data.draw(st.integers(1, 2), label="n")
+    d = data.draw(st.integers(0, 5), label="d")
+    digit = st.one_of(st.integers(p - 3, p - 1), st.integers(0, p - 1))  # powers of residues near p
+    vectors = data.draw(
+        st.lists(st.tuples(*[digit] * n), min_size=1, max_size=5, unique=True), label="points"
+    )
+    encoded = [encode_point(v, p) for v in vectors]
+    if p**n > ENCODING_LIMIT:
+        with pytest.raises(ParameterError):
+            PointSet.from_points(p, n, encoded)
+        return
+    domain = PointSet.from_points(p, n, encoded)
+    basis = monomial_basis(p, n, d)
+    m = evaluation_matrix(domain, basis)
+    for i, pt in enumerate(domain.points):
+        digits = decode_point(pt, p, n)
+        for j, expvec in enumerate(basis.monomials):
+            want = 1
+            for x, e in zip(digits, expvec):
+                want = want * pow(x, e, p) % p
+            assert m.array[i, j] == want
 
 
 def test_evaluation_matrix_dimension_mismatch():

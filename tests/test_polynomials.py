@@ -41,6 +41,17 @@ def test_monomial_count_matches_enumeration():
                 assert monomial_count(p, n, d) == len(monomial_basis(p, n, d))
 
 
+def test_monomial_count_at_large_primes_and_against_brute_force():
+    # the exponent loop is bounded by d, not p: these return at once
+    assert monomial_count(2147483647, 1, 2) == 3
+    assert monomial_count(3037000493, 3, 5) == 56
+    for p in (2, 3, 5, 7, 11):
+        for n in range(1, 5):
+            degrees = [sum(e) for e in product(range(p), repeat=n)]
+            for d in range((p - 1) * n + 2):
+                assert monomial_count(p, n, d) == sum(t <= d for t in degrees)
+
+
 def test_monomial_count_rejects_composite():
     with pytest.raises(ParameterError):
         monomial_count(4, 2, 1)
