@@ -160,7 +160,8 @@ def int_degs(chars: np.ndarray, n: int) -> np.ndarray:
         for mask in masks:
             v = chars & mask
             # piv[b] has lowest bit b, so clearing bits in ascending order is
-            # final; v and every pivot it meets have no bit below slot S
+            # final; cube_mask(S) has lowest bit S, so no pivot below slot S
+            # ever meets v
             start = (mask & -mask).bit_length() - 1
             for b, row in enumerate(piv[start:], start):
                 v ^= row & -((v >> b) & 1)
