@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Every library operation is reachable from a subcommand (see
-OPERATION_COVERAGE). Reports are JSON by default with a fixed field order;
-content digests cover everything except the optional timing field, and
-timing is only recorded under --timings so that repeated runs with the same
-flags and inputs produce byte-identical output. Progress for long scans
-goes to standard error; standard output stays machine-clean.
+OPERATION_COVERAGE) except three library-only ones, `is_shattered`,
+`evaluation_matrix` and `check_instance`. Reports are JSON by default with
+a fixed field order; content digests cover everything except the optional
+timing field, and timing is only recorded under --timings so that repeated
+runs with the same flags and inputs produce byte-identical output. Progress
+for long scans goes to standard error; standard output stays machine-clean.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ import json
 import sys
 import time
 from dataclasses import asdict
-
-import jsonschema
 
 from . import __version__
 from .clp import (
@@ -63,19 +62,20 @@ from .verify import (
     search_open_question,
 )
 
-# operation name -> subcommand that reaches it (enumerated by a coverage test)
+# operation name -> subcommand that reaches it, or None for a library-only
+# operation (enumerated and traced by a coverage test)
 OPERATION_COVERAGE = {
     "binom_sum": "demo-counterexample",
     "pairwise_family": "family-op",
     "k_fold_sumset": "family-op",
     "embed_01": "family-op",
     "generate_family": "gen-family",
-    "is_shattered": "vcdim",
+    "is_shattered": None,
     "shattered_sets": "vcdim",
     "vc_dim": "vcdim",
     "monomial_count": "clp-rank",
     "monomial_basis": "clp-rank",
-    "evaluation_matrix": "intdeg",
+    "evaluation_matrix": None,
     "rank": "clp-rank",
     "deg_on_set": "intdeg",
     "int_deg": "intdeg",
@@ -86,7 +86,7 @@ OPERATION_COVERAGE = {
     "slice_decompose": "slice-decompose",
     "sum_tensor": "slice-decompose",
     "diagonal_slice_rank_bounds": "slice-decompose",
-    "check_instance": "verify",
+    "check_instance": None,
     "exhaustive_scan": "verify",
     "random_scan": "verify",
     "counterexample_demo": "demo-counterexample",
@@ -384,6 +384,7 @@ def _handle_verify(args) -> int:
         _emit_json(report_schema(), args.out)
         return 0
     if args.replay is not None:
+        import jsonschema  # only a replay validates, so no other command pays for the import
         doc = _read_json(args.replay)
         try:
             jsonschema.validate(doc, report_schema())

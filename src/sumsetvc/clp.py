@@ -98,9 +98,10 @@ class DiagonalReport:
     nonzero_diagonal_count: int
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)
 def _pairwise_sum_index(p: int, n: int) -> np.ndarray:
-    """size x size table of encoded coordinatewise sums, size = p**n."""
+    """size x size table of encoded coordinatewise sums, size = p**n; one is
+    cached, as a scan or CLI call uses one (p, n) and a table can take 128 MiB."""
     idx = np.arange(p**n, dtype=np.int64)
     table = add_points(idx[:, None], idx[None, :], p, n)
     table.setflags(write=False)

@@ -256,19 +256,27 @@ _CHAR_INEQUALITIES = {
 }
 
 
+def _key_chunks(start: int, stop: int):
+    """The exhaustive keys start .. stop - 1, in order, as int64 arrays of at
+    most CHUNK keys: chars, or F_2 coefficient masks for clp_bound."""
+    for low in range(start, stop, CHUNK):
+        yield np.arange(low, min(low + CHUNK, stop), dtype=np.int64)
+
+
 def _check(theorem: TheoremId, p: int | None, n: int, chunk) -> _ScanState:
-    """Check one chunk: a range of chars (or F_2 coefficient masks for
-    clp_bound) from an exhaustive scan, or a list of sampled instances."""
-    if isinstance(chunk, range):
+    """Check one chunk: an int64 array of keys (chars, or F_2 coefficient
+    masks for clp_bound) in any order, or a list of sampled instances; the
+    instances are recorded in the chunk's order."""
+    if isinstance(chunk, np.ndarray):
         char_inequality = _CHAR_INEQUALITIES.get(theorem)
         if char_inequality is not None:
             state = _ScanState(partial(_char_dict, n=n))
-            lhs, rhs = char_inequality(np.arange(chunk.start, chunk.stop, dtype=np.int64), n)
-            for char, left, right in zip(chunk, lhs.tolist(), rhs.tolist()):
+            lhs, rhs = char_inequality(chunk, n)
+            for char, left, right in zip(chunk.tolist(), lhs.tolist(), rhs.tolist()):
                 state.record(char, left, right)
             return state
         make = _poly_from_coeff_mask if theorem is TheoremId.CLP_BOUND else _family_from_char
-        chunk = map(make, chunk, repeat(n))
+        chunk = map(make, chunk.tolist(), repeat(n))
     state = _ScanState()
     for instance in chunk:
         state.record(instance, *_instance_inequality(theorem, instance, p))
@@ -336,13 +344,13 @@ def exhaustive_scan(
             raise ResourceLimitError(
                 "exhaustive polynomial enumeration is tractable over F_2 only; use random_scan"
             )
-        p, keys = 2, range(1 << (1 << n))
+        p, first = 2, 0
     else:
-        keys = range(1, 1 << (1 << n))
-    # ranges of keys: the chunk's worker builds what it checks, where it runs
-    chunks = (keys[start : start + CHUNK] for start in range(0, len(keys), CHUNK))
+        first = 1
+    stop = 1 << (1 << n)
+    # arrays of keys: the chunk's worker builds what it checks, where it runs
     parameters = {"n": n, "p": p, "mode": "exhaustive", "samples": None}
-    return _scan(theorem, parameters, None, chunks, len(keys), workers, progress)
+    return _scan(theorem, parameters, None, _key_chunks(first, stop), stop - first, workers, progress)
 
 
 def random_scan(
@@ -431,68 +439,55 @@ def _feasible_chars(question: str, chars: np.ndarray, n: int, d: int) -> np.ndar
     return vc_dims(pairwise_chars(double, chars, n, "sym_diff"), n) <= d
 
 
+class _BudgetSpent(Exception):
+    """The heuristic search has made its last allowed evaluation."""
+
+
 def _heuristic_search(question: str, n: int, d: int, budget: int, seed: int):
     universe = 1 << n
     gen = SplitMix64(seed)
     evals = 0
     best: tuple[int, tuple[int, ...]] | None = None
 
-    def feasible(members: tuple[int, ...]) -> bool:
+    def feasible(members: set[int]) -> bool:
         nonlocal evals
+        if evals >= budget:
+            raise _BudgetSpent
         evals += 1
-        return open_question_constraint(question, SetFamily(n, members), d)
+        return open_question_constraint(question, SetFamily(n, tuple(sorted(members))), d)
 
-    def consider(members: tuple[int, ...]) -> None:
+    def consider(members: set[int]) -> None:
         nonlocal best
         if best is None or len(members) > best[0]:
-            best = (len(members), members)
+            best = (len(members), tuple(sorted(members)))
 
-    while evals < budget:
-        size = 1 + gen.below(universe)
-        current = set(sample_distinct(universe, size, gen))
-        # repair: drop random members until the constraint holds
-        repaired = False
-        while current and evals < budget:
-            if feasible(tuple(sorted(current))):
-                repaired = True
-                break
-            ordered = sorted(current)
-            current.remove(ordered[gen.below(len(ordered))])
-        if not repaired:
-            continue
-        consider(tuple(sorted(current)))
-        improved = True
-        while improved and evals < budget:
-            improved = False
-            # greedy adds; every add has equal gain, take the smallest mask
-            for cand in range(universe):
-                if cand in current:
+    try:
+        while True:
+            current = set(sample_distinct(universe, 1 + gen.below(universe), gen))
+            # repair: drop random members until the constraint holds; one member always does
+            while not feasible(current):
+                ordered = sorted(current)
+                current.remove(ordered[gen.below(len(ordered))])
+            consider(current)
+            while True:
+                # greedy adds; every add has equal gain, take the smallest mask
+                outside = [m for m in range(universe) if m not in current]
+                add = next((inc for inc in outside if feasible(current | {inc})), None)
+                if add is not None:
+                    current.add(add)
+                    consider(current)
                     continue
-                trial = tuple(sorted(current | {cand}))
-                if evals >= budget:
+                # plateau: try single swaps to open up a later add
+                swap = next(
+                    ((out, inc) for out in sorted(current) for inc in outside if feasible((current - {out}) | {inc})),
+                    None,
+                )
+                if swap is None:
                     break
-                if feasible(trial):
-                    current.add(cand)
-                    consider(trial)
-                    improved = True
-                    break
-            if improved:
-                continue
-            # plateau: try single swaps to open up a later add
-            for out in sorted(current):
-                for inc in range(universe):
-                    if inc in current:
-                        continue
-                    trial = tuple(sorted((current - {out}) | {inc}))
-                    if evals >= budget:
-                        break
-                    if feasible(trial):
-                        current.remove(out)
-                        current.add(inc)
-                        improved = True
-                        break
-                if improved or evals >= budget:
-                    break
+                current.remove(swap[0])
+                current.add(swap[1])
+    except _BudgetSpent:
+        pass
     return best, evals
 
 
@@ -522,17 +517,14 @@ def search_open_question(
             raise ResourceLimitError(
                 f"exhaustive search over n = {n} enumerates 2**(2**{n}) families; use heuristic mode"
             )
-        keys = range(1, 1 << (1 << n))
         best: tuple[int, tuple[int, ...]] | None = None
         # ascending chars: keep the first char of each new largest feasible size
-        for start in range(0, len(keys), CHUNK):
-            chunk = keys[start : start + CHUNK]
-            chars = np.arange(chunk.start, chunk.stop, dtype=np.int64)
+        for chars in _key_chunks(1, 1 << (1 << n)):
             sizes = np.where(_feasible_chars(question, chars, n, d), popcounts(chars), 0)
             first = int(sizes.argmax())
             if sizes[first] and (best is None or sizes[first] > best[0]):
                 best = (int(sizes[first]), char_members(int(chars[first]), n))
-        examined = len(keys)
+        examined = (1 << (1 << n)) - 1
     elif mode == "heuristic":
         if n > HEURISTIC_MAX_N:
             raise ResourceLimitError(f"heuristic search is limited to n <= {HEURISTIC_MAX_N}")

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -466,7 +469,31 @@ def test_polynomial_file_keeps_term_errors(tmp_path, capsys):
 # --- coverage of library operations ------------------------------------------------
 
 
-def test_every_operation_is_reachable_from_a_subcommand():
+def coverage_invocations(tmp_path):
+    """Small invocations of every subcommand, which between them reach every
+    operation OPERATION_COVERAGE maps to a subcommand."""
+    fam = write_family(tmp_path, "f.txt", "n=3 p=2\n000\n110\n011\n")
+    return {
+        "gen-family": [["gen-family", "--n", "3", "--kind", "lowweight", "--d", "1"]],
+        "vcdim": [["vcdim", "--in", fam, "--report", str(tmp_path / "r.json")],
+                  ["vcdim", "--in", fam, "--witness", "1,2,3"],
+                  ["vcdim", "--in", fam, "--represent", "1,2"]],
+        "intdeg": [["intdeg", "--in", fam], ["intdeg", "--in", fam, "--values", "011"]],
+        "family-op": [["family-op", "--op", "sym-diff", "--in", fam],
+                      ["family-op", "--op", "sumset", "--in", fam, "--k", "2"]],
+        "clp-rank": [["clp-rank", "--p", "3", "--n", "2", "--d", "2"]],
+        "slice-decompose": [["slice-decompose", "--n", "2", "--k", "2", "--d", "2"],
+                            ["slice-decompose", "--k", "2", "--tensor-family", fam]],
+        "verify": [["verify", "--theorem", "sauer", "--n", "2", "--no-progress"],
+                   ["verify", "--theorem", "psums", "--p", "3", "--n", "2", "--mode", "random",
+                    "--samples", "2", "--no-progress"],
+                   ["verify", "--emit-schema"]],
+        "demo-counterexample": [["demo-counterexample", "--op", "intersect", "--n", "4", "--d", "2"]],
+        "search": [["search", "--question", "q1", "--n", "2", "--d", "1"]],
+    }
+
+
+def test_every_operation_is_reachable_from_a_subcommand(tmp_path, capsys):
     expected_ops = {
         "binom_sum",
         "pairwise_family",
@@ -503,4 +530,33 @@ def test_every_operation_is_reachable_from_a_subcommand():
     for action in parser._actions:
         if hasattr(action, "choices") and action.choices:
             subcommands.update(action.choices)
-    assert set(OPERATION_COVERAGE.values()) <= subcommands
+    assert set(OPERATION_COVERAGE.values()) - {None} <= subcommands
+
+    # every operation mapped to a subcommand is called by one of its invocations
+    called = {command: set() for command in subcommands}
+    for command, invocations in coverage_invocations(tmp_path).items():
+        def profile(frame, event, arg):
+            if event == "call":
+                called[command].add(frame.f_code)
+
+        for argv in invocations:
+            sys.setprofile(profile)
+            try:
+                code = run_cli(*argv)
+            finally:
+                sys.setprofile(None)
+            assert code == 0, (argv, capsys.readouterr().err)
+    missed = [
+        op for op, command in OPERATION_COVERAGE.items()
+        if command is not None
+        and (getattr(sumsetvc, op, None) or getattr(sumsetvc.cli, op)).__code__ not in called[command]
+    ]
+    assert missed == []
+
+
+def test_importing_the_cli_does_not_import_jsonschema():
+    # only `verify --replay` validates against the schema, so only it pays for jsonschema
+    src = os.path.dirname(os.path.dirname(sumsetvc.__file__))
+    check = "import sys, sumsetvc.cli; assert 'jsonschema' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", check], env=env, check=True)

@@ -24,7 +24,7 @@ from sumsetvc import (
     verify_clp_bound,
 )
 from sumsetvc.cli import run as run_cli
-from sumsetvc.clp import _gf2_sum_rows, decomposition_values, sum_grid_values
+from sumsetvc.clp import _gf2_sum_rows, _pairwise_sum_index, decomposition_values, sum_grid_values
 from sumsetvc.linalg import _rank_generic, pack_gf2_rows
 from sumsetvc.sampling import SplitMix64, sample_distinct
 
@@ -65,6 +65,13 @@ def test_clp_matrix_entry_definition():
     for x in range(9):
         for y in range(9):
             assert m.array[x, y] == poly.evaluate_encoded(add_points(x, y, 3, 2))
+
+
+def test_clp_matrix_keeps_one_sum_index_table():
+    # a table holds p**2n entries, so only the latest (p, n) stays cached
+    for p, n in ((3, 2), (2, 3)):
+        assert clp_matrix(indicator_of_zero(p, n)).rows == p**n
+        assert _pairwise_sum_index.cache_info().currsize == 1
 
 
 def test_clp_matrix_size_guard():

@@ -1,6 +1,7 @@
 import json
 import os
 from dataclasses import asdict
+from itertools import product
 
 import numpy as np
 import pytest
@@ -22,9 +23,9 @@ from sumsetvc import (
     random_scan,
     search_open_question,
 )
-from sumsetvc.chars import char_members
+from sumsetvc.chars import CHAR_MAX_N, char_members
 
-from oracles import naive_pairwise, naive_vc_dim
+from oracles import naive_pairwise, naive_vc_dim, reference_heuristic_search
 
 CHAR_THEOREMS = ["sauer", "main", "intdeg_main", "intdeg_le_vc", "vc_monotone"]
 
@@ -187,6 +188,24 @@ def test_char_scan_reports_a_planted_violation_as_the_per_instance_path_does(mon
     monkeypatch.setattr(verify_module, "CHUNK", 64)
     for workers in (1, 2):
         assert exhaustive_scan("sauer", 3, workers=workers) == expected
+
+
+@pytest.mark.parametrize("n", [4, CHAR_MAX_N])
+def test_check_records_a_shuffled_strided_char_array_in_its_order(monkeypatch, n):
+    # chunks need not be ascending runs of keys: any int64 array of chars is checked in place
+    rng = np.random.default_rng(n)
+    keys = rng.permutation(rng.integers(1, 1 << (1 << n), size=400, dtype=np.int64))
+    chars = keys[::3]
+    assert not chars.flags.c_contiguous
+    for theorem in map(TheoremId, CHAR_THEOREMS):
+        recorded = []
+        with monkeypatch.context() as m:
+            m.setattr(verify_module._ScanState, "record", lambda state, *args: recorded.append(args))
+            verify_module._check(theorem, None, n, chars)
+        family = verify_module._family_from_char
+        want = [(c, *verify_module._instance_inequality(theorem, family(c, n), None)) for c in chars.tolist()]
+        assert recorded == want, theorem
+        assert all(type(x) is int for entry in recorded for x in entry)
 
 
 def test_scan_builds_instance_dicts_only_for_kept_instances(monkeypatch):
@@ -418,6 +437,15 @@ def test_search_heuristic_mode():
     small = search_open_question("q1", 3, 2, "heuristic", budget=500, seed=1)
     full = search_open_question("q1", 3, 2, "exhaustive")
     assert small.rows[0].best_size <= full.rows[0].best_size
+
+
+@pytest.mark.parametrize("question", ["q1", "q2"])
+def test_heuristic_search_spends_its_budget_as_the_reference_does(question):
+    for n, budget, seed in product(range(1, 6), (1, 2, 7, 50, 400), (0, 1, 5)):
+        for d in range(n + 1):
+            got = verify_module._heuristic_search(question, n, d, budget, seed)
+            assert got == reference_heuristic_search(question, n, d, budget, seed), (n, d, budget, seed)
+            assert got[1] == budget
 
 
 def test_search_note_labels_finite_evidence():
