@@ -7,6 +7,10 @@ one side has low degree. The k-fold analogue writes f(X^1 + ... + X^k) as
 a sum of terms, each multiplicative in the axis whose variable group got
 low degree (ties broken toward the lowest axis index), giving an explicit
 decomposition with at most k * |monomials of degree <= floor(d/k)| terms.
+Nothing cancels in that expansion: every exponent of a reduced term is
+below p, so each multinomial coefficient is a unit mod p, and distinct
+splits of distinct terms give distinct monomials. The decomposition is
+therefore read off term by term, with no merge pass.
 
 Over F_2 the rank is taken without a dense matrix: row x of M, read as an
 integer with bit y = M[x, y], is P's value integer translated by x in the
@@ -25,6 +29,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, product
 
 import numpy as np
 
@@ -156,79 +161,43 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def _multinomial(total: int, split: tuple[int, ...]) -> int:
-    out = 1
-    rem = total
-    for a in split:
-        out *= math.comb(rem, a)
-        rem -= a
-    return out
-
-
 def slice_decompose(
     f: ReducedPolynomial, k: int, *, grid_limit: int = DEFAULT_GRID_LIMIT
 ) -> SliceDecomposition:
     """Explicit slice decomposition of the k-axis tensor f(X^1 + ... + X^k).
 
-    Substituting each variable by the sum of its k axis copies expands f
-    multinomially (each piece keeps exponents below p, so no re-reduction
-    is ever needed); every expanded monomial is assigned to the lowest-index
-    axis whose variable group has degree at most floor(deg f / k), and terms
-    sharing (axis, axis monomial) aggregate into one residual polynomial.
+    Substituting each variable x_j by the sum of its k axis copies expands
+    each term multinomially: one expanded monomial per split of every
+    exponent e_j into k parts, with coefficient coeff * prod_j e_j!/prod(parts!).
+    Each piece keeps exponents below p, so no re-reduction is needed, and
+    the expansion is direct because nothing cancels: e_j < p makes every
+    multinomial a unit mod p, and the parts of a split sum back to the term,
+    so distinct (term, split) pairs give distinct expanded monomials. Each
+    one goes to the lowest-index axis whose variable group has degree at
+    most floor(deg f / k); those sharing (axis, axis monomial) form one
+    residual polynomial.
     """
     if k < 2:
         raise ParameterError(f"arity must be >= 2, got {k}")
     p, n = f.modulus, f.dimension
     check_power(p, k * n, grid_limit, "sum grid points p**(k*n)", ResourceLimitError)
     cap = f.degree() // k
-    expanded: dict[tuple[int, ...], int] = {}
-    zero_full = (0,) * (k * n)
-    for expvec, coeff in f.terms.items():
-        current = {zero_full: coeff % p}
-        for j, e in enumerate(expvec):
-            if e == 0:
-                continue
-            new: dict[tuple[int, ...], int] = {}
-            for split in _compositions(e, k):
-                mcoeff = _multinomial(e, split) % p
-                if mcoeff == 0:
-                    continue
-                for full, c in current.items():
-                    grown = list(full)
-                    for axis, a in enumerate(split):
-                        if a:
-                            grown[axis * n + j] += a
-                    key = tuple(grown)
-                    new[key] = (new.get(key, 0) + c * mcoeff) % p
-            current = new
-        for key, c in current.items():
-            if c:
-                expanded[key] = (expanded.get(key, 0) + c) % p
-
     buckets: dict[tuple[int, tuple[int, ...]], dict[tuple[int, ...], int]] = {}
-    for full, c in expanded.items():
-        if c == 0:
-            continue
-        group_degrees = [sum(full[axis * n : (axis + 1) * n]) for axis in range(k)]
-        axis = next(i for i, g in enumerate(group_degrees) if g <= cap)
-        axis_mono = tuple(full[axis * n : (axis + 1) * n])
-        residual_exp = tuple(
-            x
-            for other in range(k)
-            if other != axis
-            for x in full[other * n : (other + 1) * n]
-        )
-        bucket = buckets.setdefault((axis + 1, axis_mono), {})
-        bucket[residual_exp] = (bucket.get(residual_exp, 0) + c) % p
+    for expvec, coeff in f.terms.items():
+        top = coeff * math.prod(map(math.factorial, expvec))
+        for splits in product(*(_compositions(e, k) for e in expvec)):
+            groups = list(zip(*splits))  # groups[axis][j]: exponent of x_j on that axis
+            axis = next(i for i, g in enumerate(groups) if sum(g) <= cap)
+            bottom = math.prod(math.factorial(a) for split in splits for a in split)
+            residual_exp = tuple(chain.from_iterable(groups[:axis] + groups[axis + 1 :]))
+            buckets.setdefault((axis + 1, groups[axis]), {})[residual_exp] = top // bottom % p
 
-    terms = []
-    for (axis, axis_mono), residual_terms in sorted(
-        buckets.items(), key=lambda kv: (kv[0][0], _basis_key(kv[0][1]))
-    ):
-        residual = ReducedPolynomial(p, (k - 1) * n, residual_terms)
-        if residual.is_zero():
-            continue
-        terms.append(SliceTerm(axis, axis_mono, residual))
+    terms = [
+        SliceTerm(axis, axis_mono, ReducedPolynomial(p, (k - 1) * n, residual_terms))
+        for (axis, axis_mono), residual_terms in sorted(
+            buckets.items(), key=lambda kv: (kv[0][0], _basis_key(kv[0][1]))
+        )
+    ]
     return SliceDecomposition(p, n, k, cap, tuple(terms))
 
 
