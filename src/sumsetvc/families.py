@@ -23,7 +23,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import combinations, product, starmap
+from itertools import accumulate, combinations, product, starmap
 from typing import Iterable
 
 import numpy as np
@@ -33,11 +33,16 @@ from .errors import (
     EmptyFamilyError,
     FamilyFormatError,
     ParameterError,
+    ResourceLimitError,
 )
 from .sampling import SplitMix64, sample_distinct
 
 # p**n beyond this no longer fits an exactly-representable single word key.
 ENCODING_LIMIT = 1 << 48
+
+# materializing every point of F_p^n, or more family members than this, is
+# only sane well below the encoding guard
+CUBE_MATERIALIZE_LIMIT = 1 << 26
 
 # k_fold_sumset adds at most this many pairs per array, so its memory stays
 # linear in the output however large |A| * |(k-1).A| grows.
@@ -265,15 +270,22 @@ def generate_family(n: int, kind: FamilyKind) -> SetFamily:
 
     random(size, seed) draws `size` distinct masks uniformly without
     replacement using Floyd's algorithm over a SplitMix64 stream seeded
-    with `seed`; identical seeds reproduce identical families.
+    with `seed`; identical seeds reproduce identical families. A family of
+    more than CUBE_MATERIALIZE_LIMIT members is refused before any is built.
     """
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     if kind.name == "powerset":
+        check_power(2, n, CUBE_MATERIALIZE_LIMIT, "family members 2**n", ResourceLimitError)
         return SetFamily(n, tuple(range(1 << n)))
     if kind.name in ("lowweight", "highweight"):
         if kind.weight > n:
             raise ParameterError(f"weight bound {kind.weight} exceeds ground size {n}")
+        counts = accumulate(math.comb(n, w) for w in range(kind.weight + 1))
+        if any(count > CUBE_MATERIALIZE_LIMIT for count in counts):
+            raise ResourceLimitError(
+                f"family members C({n}, <={kind.weight}) exceed the guard {CUBE_MATERIALIZE_LIMIT}"
+            )
         low = _weight_at_most(n, kind.weight)
         if kind.name == "lowweight":
             return SetFamily.from_masks(n, low)
@@ -282,6 +294,8 @@ def generate_family(n: int, kind: FamilyKind) -> SetFamily:
     # random
     if kind.size > (1 << n):
         raise ParameterError(f"cannot draw {kind.size} distinct masks over ground size {n}")
+    if kind.size > CUBE_MATERIALIZE_LIMIT:
+        raise ResourceLimitError(f"random family size exceeds the guard {CUBE_MATERIALIZE_LIMIT}")
     gen = SplitMix64(kind.seed)
     return SetFamily(n, tuple(sample_distinct(1 << n, kind.size, gen)))
 

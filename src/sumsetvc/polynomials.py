@@ -20,10 +20,13 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ParameterError, ResourceLimitError
-from .families import ENCODING_LIMIT, check_modulus, check_power, decode_point
-
-# materializing every point of F_p^n is only sane well below the encoding guard
-CUBE_MATERIALIZE_LIMIT = 1 << 26
+from .families import (
+    CUBE_MATERIALIZE_LIMIT,
+    ENCODING_LIMIT,
+    check_modulus,
+    check_power,
+    decode_point,
+)
 
 
 def _validate_field(p: int, n: int) -> None:

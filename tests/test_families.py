@@ -326,6 +326,30 @@ def test_random_family_reproducible_and_bounded():
         generate_family(2, FamilyKind.random(5, seed=0))
 
 
+def test_generate_family_refuses_more_members_than_the_guard(monkeypatch):
+    from sumsetvc import polynomials
+
+    assert polynomials.CUBE_MATERIALIZE_LIMIT == families.CUBE_MATERIALIZE_LIMIT
+    huge = [
+        (27, FamilyKind.powerset()),
+        (10**6, FamilyKind.lowweight(10**6)),
+        (10**6, FamilyKind.highweight(2)),
+        (30, FamilyKind.random(families.CUBE_MATERIALIZE_LIMIT + 1, seed=0)),
+    ]
+    for n, kind in huge:
+        with pytest.raises(ResourceLimitError, match="exceed"):
+            generate_family(n, kind)
+    # at the guard a family is built, one member past it is refused
+    monkeypatch.setattr(families, "CUBE_MATERIALIZE_LIMIT", 11)
+    assert len(generate_family(4, FamilyKind.lowweight(2))) == 11
+    assert len(generate_family(4, FamilyKind.random(11, seed=1))) == 11
+    assert len(generate_family(3, FamilyKind.powerset())) == 8
+    for n, kind in [(4, FamilyKind.highweight(3)), (4, FamilyKind.random(12, seed=1)),
+                    (4, FamilyKind.powerset())]:
+        with pytest.raises(ResourceLimitError):
+            generate_family(n, kind)
+
+
 def test_family_kind_validation():
     with pytest.raises(ParameterError):
         FamilyKind("midweight")
