@@ -24,10 +24,12 @@ from .chars import char_members, int_degs, pairwise_chars, popcounts, vc_dims
 from .clp import verify_clp_bound
 from .errors import ParameterError, ResourceLimitError
 from .families import (
+    CUBE_MATERIALIZE_LIMIT,
     FamilyKind,
     SetFamily,
     binom_sum,
     check_modulus,
+    check_power,
     decode_point,
     embed_01,
     generate_family,
@@ -378,7 +380,8 @@ def random_scan(
         dmax = (p - 1) * n
         instances = [random_polynomial(p, n, i % (dmax + 1), gen) for i in range(samples)]
     else:
-        universe = 1 << n
+        # |A| is drawn up to 2**n, so n is bounded before the first draw
+        universe = check_power(2, n, CUBE_MATERIALIZE_LIMIT, "family universe 2**n", ResourceLimitError)
         instances = [
             SetFamily(n, tuple(sample_distinct(universe, 1 + gen.below(universe), gen)))
             for _ in range(samples)

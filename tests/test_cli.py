@@ -445,6 +445,8 @@ def test_report_key_order_and_text_lines(tmp_path, capsys):
         pytest.param(b"n=1000000 p=3\n", ["intdeg", "--in", "{}"], id="intdeg-huge-n"),
         pytest.param(b"n=100000 p=2\n", ["vcdim", "--in", "{}"], id="vcdim-huge-n"),
         pytest.param(b"", ["verify", "--theorem", "main", "--n", "20000"], id="verify-huge-n"),
+        pytest.param(b"", ["verify", "--theorem", "sauer", "--mode", "random", "--n", "40",
+                           "--samples", "1"], id="verify-random-huge-n"),
         pytest.param(b"", ["gen-family", "--n", "28", "--kind", "powerset"],
                      id="gen-family-huge-powerset"),
         pytest.param(b"", ["gen-family", "--n", "1000000", "--kind", "lowweight", "--d", "1000000"],

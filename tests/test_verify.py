@@ -260,6 +260,17 @@ def test_random_scan_validation():
         random_scan("psums", 3, 6, samples=5, seed=1)
 
 
+def test_random_scan_bounds_n_for_family_theorems(monkeypatch):
+    # |A| is drawn up to 2**n: past the cube guard nothing is drawn
+    for theorem, p in [("sauer", None), ("main", None), ("psums", 3)]:
+        with pytest.raises(ResourceLimitError, match=r"2\*\*40 exceeds the guard"):
+            random_scan(theorem, 40, p, samples=1, seed=0)
+    monkeypatch.setattr(verify_module, "CUBE_MATERIALIZE_LIMIT", 8)
+    assert random_scan("sauer", 3, samples=5, seed=1).instances_checked == 5
+    with pytest.raises(ResourceLimitError):
+        random_scan("sauer", 4, samples=5, seed=1)
+
+
 @pytest.mark.parametrize("workers", [0, -1])
 def test_scans_reject_fewer_than_one_worker(workers):
     with pytest.raises(ParameterError):
