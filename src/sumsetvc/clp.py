@@ -29,7 +29,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, product
+from itertools import accumulate, chain, product
 
 import numpy as np
 
@@ -182,15 +182,19 @@ def slice_decompose(
     p, n = f.modulus, f.dimension
     check_power(p, k * n, grid_limit, "sum grid points p**(k*n)", ResourceLimitError)
     cap = f.degree() // k
+    # e! mod p for every exponent e that occurs: e < p, so each is a unit
+    top_exp = min(f.degree(), p - 1)
+    fact = list(accumulate(range(1, top_exp + 1), lambda a, b: a * b % p, initial=1))
+    inv_fact = [pow(x, -1, p) for x in fact]
     buckets: dict[tuple[int, tuple[int, ...]], dict[tuple[int, ...], int]] = {}
     for expvec, coeff in f.terms.items():
-        top = coeff * math.prod(map(math.factorial, expvec))
+        top = coeff * math.prod(fact[e] for e in expvec)
         for splits in product(*(_compositions(e, k) for e in expvec)):
             groups = list(zip(*splits))  # groups[axis][j]: exponent of x_j on that axis
             axis = next(i for i, g in enumerate(groups) if sum(g) <= cap)
-            bottom = math.prod(math.factorial(a) for split in splits for a in split)
+            c = top * math.prod(inv_fact[a] for split in splits for a in split) % p
             residual_exp = tuple(chain.from_iterable(groups[:axis] + groups[axis + 1 :]))
-            buckets.setdefault((axis + 1, groups[axis]), {})[residual_exp] = top // bottom % p
+            buckets.setdefault((axis + 1, groups[axis]), {})[residual_exp] = c
 
     terms = [
         SliceTerm(axis, axis_mono, ReducedPolynomial(p, (k - 1) * n, residual_terms))

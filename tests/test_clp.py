@@ -1,3 +1,6 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
@@ -192,6 +195,42 @@ def test_slice_axis_monomial_degree_bound_and_reconstruction_corpus():
                     assert all(sum(t.axis_monomial) <= cap for t in dec.terms)
                     assert dec.term_count() <= k * monomial_count(p, n, cap)
                     assert reconstruction_matches(dec, f)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65537])
+def test_slice_expansion_never_cancels(p):
+    # every (term, split) pair survives as its own residual entry
+    gen = SplitMix64(p)
+    for n in (1, 2):
+        for k in (2, 3, 4):
+            for d in range(min((p - 1) * n, 8) + 1):
+                f = random_polynomial(p, n, d, gen)
+                dec = slice_decompose(f, k, grid_limit=p ** (k * n))
+                splits = sum(
+                    math.prod(math.comb(e + k - 1, k - 1) for e in expvec) for expvec in f.terms
+                )
+                assert sum(len(t.residual.terms) for t in dec.terms) == splits
+                assert not any(t.residual.is_zero() for t in dec.terms)
+                keys = [(t.axis, t.axis_monomial) for t in dec.terms]
+                assert len(set(keys)) == len(keys)
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ("--p 3 --n 2 --k 3 --d 2 --seed 5",
+         "8b8454692982deaf87c48a7764d419923d051e78bffc09bd01b0ffa91b8a5c84"),
+        ("--p 2 --n 4 --k 2 --d 4 --seed 1",
+         "2d1f9a95bad9bd8fd9d787a8351f635898b1501953ff50589b77f03eba7cf173"),
+        ("--p 5 --n 2 --k 2 --d 8 --seed 3",
+         "f9c007522dd652b8b4745d9cb22780e5e1ec78ed2c159ba1b001f5515f5f4f83"),
+        ("--p 7 --n 1 --k 4 --d 6 --seed 2",
+         "b5a5a1022f7460f3041f5e9a1ad74c23e2e24e6886da4aaaf1664fad4919645c"),
+    ],
+)
+def test_slice_decompose_cli_bytes_are_pinned(capsys, argv, digest):
+    assert run_cli(["slice-decompose", *argv.split()]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_slice_matrix_specialization_certifies_rank():
