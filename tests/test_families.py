@@ -21,7 +21,7 @@ from sumsetvc import (
     pairwise_family,
     parse_family_text,
 )
-from sumsetvc import families
+from sumsetvc import families, polynomials
 from sumsetvc.families import (
     add_points,
     check_modulus,
@@ -327,8 +327,6 @@ def test_random_family_reproducible_and_bounded():
 
 
 def test_generate_family_refuses_more_members_than_the_guard(monkeypatch):
-    from sumsetvc import polynomials
-
     assert polynomials.CUBE_MATERIALIZE_LIMIT == families.CUBE_MATERIALIZE_LIMIT
     huge = [
         (27, FamilyKind.powerset()),
