@@ -566,3 +566,132 @@ def test_importing_the_cli_does_not_import_jsonschema():
     check = "import sys, sumsetvc.cli; assert 'jsonschema' not in sys.modules"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     subprocess.run([sys.executable, "-c", check], env=env, check=True)
+
+
+# --- pinned output bytes -------------------------------------------------------------
+
+PIN_FILES = {
+    "f.txt": "n=3 p=2\n000\n110\n011\n",
+    "h.txt": "n=3 p=2\n100\n011\n111\n",
+    "g3.txt": "n=2 p=3\n00\n10\n21\n",
+    "poly.json": json.dumps({"p": 2, "n": 3, "terms": ["1:1,1,0", "1:0,0,1"]}),
+    "poly3.json": json.dumps({"p": 3, "n": 2, "terms": ["2:2,1", "1:0,1"]}),
+}
+
+# argv, exit code, sha256 of stdout followed by the bytes of every file in
+# PIN_OUTPUTS the invocation writes
+PIN_OUTPUTS = ("out.txt", "r.json")
+PINNED = [
+    (["gen-family", "--n", "4", "--kind", "lowweight", "--d", "2"], 0,
+     "d38b4c64e3a2f18694a672c0da8b645baa68c7d7495d1e870b8c4c579ca3bc93"),
+    (["gen-family", "--n", "4", "--kind", "highweight", "--d", "1"], 0,
+     "f2a9ed73b43a754e0fb13061250f9d910bce0e2715d7719206d5d1b3a19c175b"),
+    (["gen-family", "--n", "3", "--kind", "powerset"], 0,
+     "bedfd9716ebe4000c31e83345d2cafbe4e1c5e5ca3e3df2966c274d3c9cec447"),
+    (["gen-family", "--n", "5", "--kind", "random", "--size", "7", "--seed", "3"], 0,
+     "ddf917344f46cfefe84f8f18416cc01c883b1ede34c379d52d7c7e3c63fede81"),
+    (["gen-family", "--n", "4", "--kind", "random", "--size", "3", "--out", "out.txt"], 0,
+     "9b146a6469306e0923fbbc9b075c658e2926bbedcec232e0ab05930200d2e561"),
+    (["gen-family", "--n", "4", "--kind", "lowweight"], 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (["gen-family", "--n", "4", "--kind", "random"], 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (["vcdim", "--in", "f.txt"], 0,
+     "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"),
+    (["vcdim", "--in", "f.txt", "--out", "out.txt"], 0,
+     "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"),
+    (["vcdim", "--in", "f.txt", "--report", "r.json"], 0,
+     "9e1f8401d4256976620a7be2dfd2d149bcd2df1a33da67784dfba40bda8e7379"),
+    (["vcdim", "--in", "f.txt", "--witness", "1,2,3"], 0,
+     "26d9f7a7d71df5e2ad8d5a7d51ec96aa70a15fe92fd82307a44c8830660e2c45"),
+    (["vcdim", "--in", "f.txt", "--represent", "1,2"], 0,
+     "cc1ce1d0ec451907925197dd3136b1e1c9f92f0256430aefa7b476b8c154e210"),
+    (["intdeg", "--in", "f.txt"], 0,
+     "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"),
+    (["intdeg", "--in", "g3.txt"], 0,
+     "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"),
+    (["intdeg", "--in", "f.txt", "--values", "011"], 0,
+     "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"),
+    (["intdeg", "--in", "f.txt", "--values", "01"], 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (["family-op", "--op", "sym-diff", "--in", "f.txt"], 0,
+     "2dc574c1d2df24e3f5b4e3841c59d0ce92ef7ccb4cb33c44afcc2e60e190c8e1"),
+    (["family-op", "--op", "intersect", "--in", "f.txt", "--in2", "h.txt"], 0,
+     "0e3c6001cb2275cbfbe50a52019cfcd44755d9d1aa054172757ac55b9e5da075"),
+    (["family-op", "--op", "union", "--in", "f.txt", "--out", "out.txt"], 0,
+     "d0ec837e245889275418e131160480be9232d8a15e0afe01c4c2a8ba200dfef7"),
+    (["family-op", "--op", "embed", "--in", "f.txt", "--p", "3"], 0,
+     "9bd47d44c3553115d8d4d91c222ec4ba0a49a7678741278e9a2a9978fed22050"),
+    (["family-op", "--op", "sumset", "--in", "g3.txt", "--k", "2"], 0,
+     "2e31579a9d4b1e50448abbdc44f3d06b1305343ab2bde7c4727aa38c57c1b066"),
+    (["clp-rank", "--p", "2", "--n", "4", "--d", "2", "--seed", "1"], 0,
+     "828a4f6b5386f6f2ee89e11be9ef614801d677a4f09ba0264c3e315a38104db7"),
+    (["clp-rank", "--p", "3", "--n", "2", "--d", "2", "--format", "text"], 0,
+     "cd6cdebf7e88517817d0189cf5db295d2af1cea60724a59828e9a529e9c5c4eb"),
+    (["clp-rank", "--in-poly", "poly.json"], 0,
+     "90a072aa6953ec7577197fa0a55a4329b6e296c9de7297590c0c925338a1b477"),
+    (["clp-rank", "--in-poly", "poly3.json", "--format", "text"], 0,
+     "fb8a57e8ababe2b78992109f42f918e52f58fc7a727f3b5a1079a16ae506498f"),
+    (["slice-decompose", "--p", "3", "--n", "2", "--k", "3", "--d", "2", "--seed", "5"], 0,
+     "8b8454692982deaf87c48a7764d419923d051e78bffc09bd01b0ffa91b8a5c84"),
+    (["slice-decompose", "--in-poly", "poly.json", "--k", "2"], 0,
+     "17e934b12cb4bc501ba17eefea671710ddf171b52e188e71681edce672ae198c"),
+    (["slice-decompose", "--tensor-family", "f.txt", "--k", "2"], 0,
+     "5b93d2284275729403ad4e9a1ff13d0f2c27a6a481fb5bc2bf01536a81ee7697"),
+    (["slice-decompose", "--tensor-family", "g3.txt", "--in-poly", "poly3.json", "--k", "2"],
+     0,
+     "7d9e883f88944b5b84e303d04046d91ec3dc2700f61130b3993952a06f65101b"),
+    (["verify", "--theorem", "sauer", "--n", "2", "--no-progress"], 0,
+     "084ca27453c8a1f4523f7d0b93b78cb40454aa3ef36add5b4114a279bd9e7e49"),
+    (["verify", "--theorem", "sauer", "--n", "2"], 0,
+     "205ea18f13ec12bccd0ea678815c9346fd19549910f68ee2ccdd49203f9152cd"),
+    (["verify", "--theorem", "intdeg_le_vc", "--n", "3", "--no-progress", "--format", "csv"],
+     0,
+     "e0209a9a6fb1a92166e6495fdfed314f0be1c8dd301f76b20c13eaa478ed9001"),
+    (["verify", "--theorem", "main", "--n", "3", "--no-progress", "--out", "out.txt"], 0,
+     "b5516992d920d89e5f990610feaeb4c082c793744cb27f002359a4d93e547bae"),
+    (["verify", "--theorem", "psums", "--p", "3", "--n", "2", "--mode", "random",
+      "--samples", "5", "--seed", "2", "--no-progress"], 0,
+     "3bdf1309779e607f026420bbe711485b2025c8bf5dfe0c7e0abfe3c15ff13805"),
+    (["verify", "--theorem", "psums", "--p", "3", "--n", "2", "--mode", "random",
+      "--samples", "5", "--seed", "2", "--no-progress", "--format", "csv"], 0,
+     "68daaec5d901b34ae202b24d24a3605b383920190e13f3c6093c8b34c36cc2c1"),
+    (["verify", "--theorem", "clp_bound", "--p", "2", "--n", "3", "--mode", "random",
+      "--samples", "3", "--no-progress"], 0,
+     "b6ca8e879aa939f655c22996af0f477bce944cb6f04c98b072df1fa68eb24ae0"),
+    (["verify", "--emit-schema"], 0,
+     "fda464b3d1929f6e67fcfe43da203a85d267aa1fbeaa3e19e33089d9232c6385"),
+    (["verify", "--replay", "rep.json"], 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (["verify", "--replay", "f.txt"], 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (["demo-counterexample", "--op", "intersect", "--n", "10", "--d", "2"], 0,
+     "f06b219fe286a3d0fb3ce82f9441823ea2c166c58677e2f10a91307bf62c7333"),
+    (["demo-counterexample", "--op", "union", "--n", "8", "--d", "3", "--format", "csv"], 0,
+     "9e6f1db879bdb958cb399e1d08b2337149d5a00fefb35d5b96f168c5a4615ee2"),
+    (["demo-counterexample", "--op", "union", "--n", "8", "--d", "3", "--format", "text"],
+     0,
+     "e497c7007a74e74206beda7a1164321ac5269a1b83578e467ab85a4782c41198"),
+    (["search", "--question", "q1", "--n", "2", "--d", "2"], 0,
+     "4d6c8b69d484cd8fd0fbdfe774fade12a0cd88d51c40a0dfa724968b5e4fdc2a"),
+    (["search", "--question", "q2", "--n", "3", "--d", "3", "--format", "csv"], 0,
+     "5611a705f0810551d377dd2b48dd7fdc328fffe0d6119d6888eee0bd3c30e55c"),
+    (["search", "--question", "q1", "--n", "3", "--d", "1", "--mode", "heuristic",
+      "--budget", "50", "--seed", "1"], 0,
+     "c83a9959bc918b2e58f5ceb2597b4d91ab4acaed728794df7d09427ed70f7c42"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", PINNED, ids=["_".join(a) for a, _, _ in PINNED])
+def test_cli_output_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, code, digest):
+    # relative names only: command_echo, and so content_digest, holds the argv
+    monkeypatch.chdir(tmp_path)
+    for name, text in PIN_FILES.items():
+        (tmp_path / name).write_text(text)
+    assert run_cli("verify", "--theorem", "sauer", "--n", "2", "--no-progress",
+                   "--out", "rep.json") == 0
+    capsys.readouterr()
+    assert run_cli(*argv) == code
+    written = b"".join((tmp_path / name).read_bytes() for name in PIN_OUTPUTS
+                       if (tmp_path / name).exists())
+    assert hashlib.sha256(capsys.readouterr().out.encode() + written).hexdigest() == digest
