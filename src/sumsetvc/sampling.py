@@ -29,9 +29,13 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound), unbiased via rejection at the top."""
-        if bound <= 0:
-            raise ParameterError("bound must be positive")
+        """Uniform integer in [0, bound), unbiased via rejection at the top.
+
+        One draw covers 2**64 values, so bound is at most 2**64. The message
+        names no bound: one too large may have too many digits to print.
+        """
+        if not 0 < bound <= 1 << 64:
+            raise ParameterError("bound must be in 1..2**64")
         limit = ((1 << 64) // bound) * bound
         while True:
             draw = self.next_uint64()

@@ -453,6 +453,8 @@ def test_report_key_order_and_text_lines(tmp_path, capsys):
                      id="gen-family-huge-lowweight"),
         pytest.param(b"", ["search", "--question", "q1", "--n", "20000", "--d", "1"],
                      id="search-huge-n"),
+        pytest.param(b"", ["gen-family", "--n", "65", "--kind", "random", "--size", "1"],
+                     id="gen-family-huge-random"),
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, content, argv):
