@@ -35,8 +35,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ParameterError
-from .families import PAIRWISE_OPS
-from .interpolation import _grade_columns
+from .families import PAIRWISE_OPS, encode_point
+from .polynomials import _grade
 
 CHAR_MAX_N = 5
 
@@ -137,9 +137,13 @@ def pairwise_chars(a: np.ndarray, b: np.ndarray, n: int, op: str) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _cube_masks(n: int) -> tuple[tuple[int, ...], ...]:
     """For each grade d, cube_mask(S) of the degree-d monomials x^S in
-    canonical order: their GF(2) columns on all of F_2^n, bit m set iff S ⊆ m."""
-    columns = _grade_columns(2, n, tuple(_positions(n)))
-    return tuple(tuple(columns(d)) for d in range(n + 1))
+    canonical order: their GF(2) columns on all of F_2^n, bit m set iff S ⊆ m.
+    The supersets of S are the subset sums of the one bit S."""
+    _positions(n)  # the range check
+    return tuple(
+        tuple(_subset_sums(1 << encode_point(s, 2), n) for s in _grade(2, n, d))
+        for d in range(n + 1)
+    )
 
 
 def int_degs(chars: np.ndarray, n: int) -> np.ndarray:

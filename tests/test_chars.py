@@ -19,6 +19,7 @@ from sumsetvc.chars import (
     popcounts,
     vc_dims,
 )
+from sumsetvc.interpolation import _grade_columns
 
 from oracles import naive_vc_dim
 
@@ -61,8 +62,10 @@ def test_cube_masks_are_the_superset_masks_of_each_grade():
     for n in range(1, 6):
         grades = _cube_masks(n)
         assert [len(g) for g in grades] == [math.comb(n, d) for d in range(n + 1)]
+        columns = _grade_columns(2, n, tuple(range(1 << n)))
         for d, grade in enumerate(grades):
             assert sorted(grade) == sorted(_subset_sums(1 << s, n) for s in range(1 << n) if s.bit_count() == d)
+            assert grade == tuple(columns(d))
 
 
 @pytest.mark.parametrize("n", range(6, 10))
