@@ -7,6 +7,11 @@ a fixed field order; content digests cover everything except the optional
 timing field, and timing is only recorded under --timings so that repeated
 runs with the same flags and inputs produce byte-identical output. Progress
 for long scans goes to standard error; standard output stays machine-clean.
+
+Each subcommand handler returns (exit code, text), and `run` alone writes the
+text, to --out or standard output; only `vcdim --report` writes a second file.
+Parameter checks live in the library types the handlers build (`FamilyKind`,
+`PartialFunction`, the scans), and their messages reach the user unchanged.
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ from .sampling import SplitMix64
 from .vc import shattered_sets
 from .verify import (
     TheoremId,
+    VerificationReport,
     counterexample_demo,
     exhaustive_scan,
     random_scan,
@@ -97,35 +103,25 @@ OPERATION_COVERAGE = {
 
 def report_schema() -> dict:
     """The versioned JSON schema every verification report validates against."""
+    properties = {
+        "tool_version": {"type": "string"},
+        "command_echo": {"type": "array", "items": {"type": "string"}},
+        "theorem": {"type": "string"},
+        "parameters": {"type": "object"},
+        "seed": {"type": ["integer", "null"]},
+        "instances_checked": {"type": "integer", "minimum": 0},
+        "violations": {"type": "array"},
+        "extremes": {"type": ["object", "null"]},
+        "timing_ms": {"type": ["number", "null"]},
+        "content_digest": {"type": "string"},
+    }
     return {
         "$schema": "http://json-schema.org/draft-07/schema#",
         "title": "sumsetvc verification report",
         "version": __version__,
         "type": "object",
-        "required": [
-            "tool_version",
-            "command_echo",
-            "theorem",
-            "parameters",
-            "seed",
-            "instances_checked",
-            "violations",
-            "extremes",
-            "timing_ms",
-            "content_digest",
-        ],
-        "properties": {
-            "tool_version": {"type": "string"},
-            "command_echo": {"type": "array", "items": {"type": "string"}},
-            "theorem": {"type": "string"},
-            "parameters": {"type": "object"},
-            "seed": {"type": ["integer", "null"]},
-            "instances_checked": {"type": "integer", "minimum": 0},
-            "violations": {"type": "array"},
-            "extremes": {"type": ["object", "null"]},
-            "timing_ms": {"type": ["number", "null"]},
-            "content_digest": {"type": "string"},
-        },
+        "required": list(properties),
+        "properties": properties,
         "additionalProperties": False,
     }
 
@@ -136,13 +132,19 @@ def _digest(core: dict) -> str:
     ).hexdigest()
 
 
-def _simple_envelope(command_echo, payload: dict, timing_ms=None) -> dict:
+def _json(doc: dict) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _report(command_echo, payload: dict, timing_ms=None) -> str:
+    """The JSON report: version and command echo, the payload, then timing
+    and the digest of every field before timing."""
     core = {"tool_version": __version__, "command_echo": list(command_echo)}
     core.update(payload)
     doc = dict(core)
     doc["timing_ms"] = timing_ms
     doc["content_digest"] = _digest(core)
-    return doc
+    return _json(doc)
 
 
 def _write_output(text: str, out_path: str | None) -> None:
@@ -151,10 +153,6 @@ def _write_output(text: str, out_path: str | None) -> None:
     else:
         with open(out_path, "w", newline="\n") as fh:
             fh.write(text)
-
-
-def _emit_json(doc: dict, out_path: str | None) -> None:
-    _write_output(json.dumps(doc, indent=2) + "\n", out_path)
 
 
 def _csv_text(rows: list[dict], comment: str | None = None) -> str:
@@ -228,63 +226,41 @@ def _parse_elements(spec: str, n: int) -> int:
 # --- subcommand handlers ---------------------------------------------------
 
 
-def _handle_gen_family(args) -> int:
-    if args.kind in ("lowweight", "highweight"):
-        if args.d is None:
-            raise ParameterError(f"--kind {args.kind} requires --d")
-        kind = FamilyKind(args.kind, weight=args.d)
-    elif args.kind == "powerset":
-        kind = FamilyKind.powerset()
-    else:
-        if args.size is None:
-            raise ParameterError("--kind random requires --size")
-        kind = FamilyKind.random(args.size, args.seed)
-    family = generate_family(args.n, kind)
-    _write_output(format_family_text(embed_01(family, 2)), args.out)
-    return 0
+def _handle_gen_family(args) -> tuple[int, str]:
+    kind = FamilyKind(args.kind, weight=args.d, size=args.size, seed=args.seed)
+    return 0, format_family_text(embed_01(generate_family(args.n, kind), 2))
 
 
-def _handle_vcdim(args) -> int:
+def _handle_vcdim(args) -> tuple[int, str]:
     family = _binary_family(_read_family_file(args.infile), args.infile)
     if args.witness is not None:
         mask = _parse_elements(args.witness, family.ground_size)
         pattern = find_unshattered_witness(family, mask)
-        _emit_json({str(k): v for k, v in sorted(pattern.items())}, args.out)
-        return 0
+        return 0, _json({str(k): v for k, v in sorted(pattern.items())})
     if args.represent is not None:
         mask = _parse_elements(args.represent, family.ground_size)
         poly = represent_monomial(family, mask)
-        _emit_json({"p": 2, "n": poly.dimension, "terms": poly.to_term_list()}, args.out)
-        return 0
+        return 0, _json({"p": 2, "n": poly.dimension, "terms": poly.to_term_list()})
     report = shattered_sets(family)
     if args.report is not None:
-        _emit_json(_simple_envelope(args.command_echo, asdict(report)), args.report)
-    _write_output(f"{report.vc_dim}\n", args.out)
-    return 0
+        _write_output(_report(args.command_echo, asdict(report)), args.report)
+    return 0, f"{report.vc_dim}\n"
 
 
-def _handle_intdeg(args) -> int:
+def _handle_intdeg(args) -> tuple[int, str]:
     points = _read_family_file(args.infile)
-    if args.values is not None:
-        if len(args.values) != len(points.points):
-            raise ParameterError(
-                f"--values has {len(args.values)} digits for {len(points.points)} domain points"
-            )
-        values = parse_digits(args.values, points.modulus)
-        result = deg_on_set(PartialFunction(points, tuple(values)))
-    else:
-        result = int_deg(points)
-    _write_output(f"{result}\n", args.out)
-    return 0
+    if args.values is None:
+        return 0, f"{int_deg(points)}\n"
+    values = parse_digits(args.values, points.modulus)
+    return 0, f"{deg_on_set(PartialFunction(points, tuple(values)))}\n"
 
 
-def _handle_family_op(args) -> int:
+def _handle_family_op(args) -> tuple[int, str]:
     points = _read_family_file(args.infile)
     if args.op == "sumset":
         if args.k is None:
             raise ParameterError("--op sumset requires --k")
-        _write_output(format_family_text(k_fold_sumset(points, args.k)), args.out)
-        return 0
+        return 0, format_family_text(k_fold_sumset(points, args.k))
     if args.op == "embed" and args.p is None:
         raise ParameterError("--op embed requires --p")
     family = _binary_family(points, args.infile)
@@ -293,8 +269,7 @@ def _handle_family_op(args) -> int:
     else:
         other = _binary_family(_read_family_file(args.in2), args.in2) if args.in2 else family
         result = embed_01(pairwise_family(family, other, args.op.replace("-", "_")), 2)
-    _write_output(format_family_text(result), args.out)
-    return 0
+    return 0, format_family_text(result)
 
 
 def _resolve_polynomial(args) -> ReducedPolynomial:
@@ -305,18 +280,18 @@ def _resolve_polynomial(args) -> ReducedPolynomial:
     return random_polynomial(args.p, args.n, args.d, SplitMix64(args.seed))
 
 
-def _handle_clp_rank(args) -> int:
+def _handle_clp_rank(args) -> tuple[int, str]:
     poly = _resolve_polynomial(args)
     report = verify_clp_bound(poly, point_limit=args.point_guard)
     if args.format == "text":
-        _write_output(_key_values(asdict(report)), args.out)
+        text = _key_values(asdict(report))
     else:
         payload = {"p": poly.modulus, "n": poly.dimension, **asdict(report)}
-        _emit_json(_simple_envelope(args.command_echo, payload), args.out)
-    return 0 if report.ok else 1
+        text = _report(args.command_echo, payload)
+    return (0 if report.ok else 1), text
 
 
-def _handle_slice_decompose(args) -> int:
+def _handle_slice_decompose(args) -> tuple[int, str]:
     if args.tensor_family is not None:
         points = _read_family_file(args.tensor_family)
         if args.in_poly is not None:
@@ -332,8 +307,7 @@ def _handle_slice_decompose(args) -> int:
             **asdict(bounds),
             "tensor_digest": tensor.content_digest(),
         }
-        _emit_json(_simple_envelope(args.command_echo, payload), args.out)
-        return 0
+        return 0, _report(args.command_echo, payload)
     poly = _resolve_polynomial(args)
     dec = slice_decompose(poly, args.k, grid_limit=args.grid_guard)
     bound = args.k * monomial_count(poly.modulus, poly.dimension, poly.degree() // args.k)
@@ -356,33 +330,25 @@ def _handle_slice_decompose(args) -> int:
             for term in dec.terms
         ],
     }
-    _emit_json(_simple_envelope(args.command_echo, payload), args.out)
-    return 0 if recon and dec.term_count() <= bound else 1
+    return (0 if recon and dec.term_count() <= bound else 1), _report(args.command_echo, payload)
 
 
-def _verify_csv(doc: dict) -> str:
-    params = doc["parameters"]
-    ex = doc["extremes"] or {}
+def _verify_csv(report: VerificationReport) -> str:
+    extreme = report.extremes or {}
     row = {
-        "theorem": doc["theorem"],
-        "n": params.get("n"),
-        "p": params.get("p"),
-        "mode": params.get("mode"),
-        "samples": params.get("samples"),
-        "seed": doc["seed"],
-        "instances_checked": doc["instances_checked"],
-        "violation_count": len(doc["violations"]),
-        "extreme_lhs": ex.get("lhs"),
-        "extreme_rhs": ex.get("rhs"),
-        "extreme_ratio": ex.get("ratio"),
+        "theorem": report.theorem,
+        **report.parameters,
+        "seed": report.seed,
+        "instances_checked": report.instances_checked,
+        "violation_count": len(report.violations),
+        **{f"extreme_{key}": extreme.get(key) for key in ("lhs", "rhs", "ratio")},
     }
     return _csv_text([row])
 
 
-def _handle_verify(args) -> int:
+def _handle_verify(args) -> tuple[int, str]:
     if args.emit_schema:
-        _emit_json(report_schema(), args.out)
-        return 0
+        return 0, _json(report_schema())
     if args.replay is not None:
         import jsonschema  # only a replay validates, so no other command pays for the import
         doc = _read_json(args.replay)
@@ -400,14 +366,14 @@ def _handle_verify(args) -> int:
                 f"{len(doc['violations'])} violation(s) recorded in {args.replay}",
                 file=sys.stderr,
             )
-            return 1
-        return 0
+            return 1, ""
+        return 0, ""
     if args.theorem is None or args.n is None:
         raise ParameterError("verify requires --theorem and --n")
     progress = None
     if args.progress:
         def progress(done, total):
-            print(f"progress {done}/{total if total is not None else '?'}", file=sys.stderr)
+            print(f"progress {done}/{total}", file=sys.stderr)
 
     started = time.perf_counter()
     if args.mode == "exhaustive":
@@ -423,27 +389,26 @@ def _handle_verify(args) -> int:
             progress=progress,
         )
     timing_ms = (time.perf_counter() - started) * 1000.0 if args.timings else None
-    doc = _simple_envelope(args.command_echo, asdict(report), timing_ms)
     if args.format == "csv":
-        _write_output(_verify_csv(doc), args.out)
+        text = _verify_csv(report)
     else:
-        _emit_json(doc, args.out)
-    return 0 if report.ok else 1
+        text = _report(args.command_echo, asdict(report), timing_ms)
+    return (0 if report.ok else 1), text
 
 
-def _handle_demo(args) -> int:
+def _handle_demo(args) -> tuple[int, str]:
     rep = counterexample_demo(args.op, args.n, args.d)
     payload = asdict(rep)
     if args.format == "csv":
-        _write_output(_csv_text([payload]), args.out)
+        text = _csv_text([payload])
     elif args.format == "text":
-        _write_output(_key_values(payload), args.out)
+        text = _key_values(payload)
     else:
-        _emit_json(_simple_envelope(args.command_echo, payload), args.out)
-    return 0 if rep.witness else 1
+        text = _report(args.command_echo, payload)
+    return (0 if rep.witness else 1), text
 
 
-def _handle_search(args) -> int:
+def _handle_search(args) -> tuple[int, str]:
     table = search_open_question(
         args.question, args.n, args.d, args.mode, budget=args.budget, seed=args.seed
     )
@@ -452,10 +417,8 @@ def _handle_search(args) -> int:
         for row in rows:
             # the CSV joins the certificate with ';' and moves it to the last column
             row["certificate"] = ";".join(str(m) for m in row.pop("certificate"))
-        _write_output(_csv_text(rows, comment=table.note), args.out)
-    else:
-        _emit_json(_simple_envelope(args.command_echo, {"note": table.note, "rows": rows}), args.out)
-    return 0
+        return 0, _csv_text(rows, comment=table.note)
+    return 0, _report(args.command_echo, {"note": table.note, "rows": rows})
 
 
 # --- parser ------------------------------------------------------------------
@@ -593,7 +556,10 @@ def run(argv=None) -> int:
         return code if isinstance(code, int) else 2
     args.command_echo = list(argv)
     try:
-        return args.handler(args)
+        code, text = args.handler(args)
+        if text:
+            _write_output(text, args.out)
+        return code
     except (SumsetVCError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
