@@ -24,6 +24,7 @@ import json
 import sys
 import time
 from dataclasses import asdict
+from functools import partial
 
 from . import __version__
 from .clp import (
@@ -60,6 +61,7 @@ from .polynomials import ReducedPolynomial, indicator_of_zero, monomial_count, r
 from .sampling import SplitMix64
 from .vc import shattered_sets
 from .verify import (
+    _QUESTIONS,
     TheoremId,
     VerificationReport,
     counterexample_demo,
@@ -376,18 +378,10 @@ def _handle_verify(args) -> tuple[int, str]:
             print(f"progress {done}/{total}", file=sys.stderr)
 
     started = time.perf_counter()
-    if args.mode == "exhaustive":
-        report = exhaustive_scan(args.theorem, args.n, args.p, workers=args.workers, progress=progress)
-    else:
-        report = random_scan(
-            args.theorem,
-            args.n,
-            args.p,
-            samples=args.samples,
-            seed=args.seed,
-            workers=args.workers,
-            progress=progress,
-        )
+    scan = exhaustive_scan
+    if args.mode == "random":
+        scan = partial(random_scan, samples=args.samples, seed=args.seed)
+    report = scan(args.theorem, args.n, args.p, workers=args.workers, progress=progress)
     timing_ms = (time.perf_counter() - started) * 1000.0 if args.timings else None
     if args.format == "csv":
         text = _verify_csv(report)
@@ -531,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo.set_defaults(handler=_handle_demo)
 
     sch = sub.add_parser("search", help="finite-evidence search for the open questions")
-    sch.add_argument("--question", choices=["q1", "q2"], required=True)
+    sch.add_argument("--question", choices=list(_QUESTIONS), required=True)
     sch.add_argument("--n", type=int, required=True)
     sch.add_argument("--d", type=int, required=True)
     sch.add_argument("--mode", choices=["exhaustive", "heuristic"], default="exhaustive")

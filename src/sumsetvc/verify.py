@@ -2,10 +2,13 @@
 finite-evidence searches for the two open questions.
 
 Every theorem is checked in instance form as a bound inequality lhs <= rhs,
-so no instance is vacuous. Scans report the tightest instance seen (largest
-lhs/rhs) and collect violations, which are build-failing events. Searches
-produce finite evidence tables only; they are labeled as such and never
-extrapolate.
+so no instance is vacuous. Each is stated once, in `_THEOREMS`, and each open
+question once, in `_QUESTIONS`, over a kernel object on one SetFamily
+(`_instance_kernels`, the reference) or on an int64 array of chars
+(`_char_kernels`, n <= CHAR_MAX_N). Scans report the tightest instance seen
+(largest lhs/rhs) and collect violations, which are build-failing events.
+Searches produce finite evidence tables only; they are labeled as such and
+never extrapolate.
 """
 
 from __future__ import annotations
@@ -15,8 +18,10 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from itertools import repeat
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,6 +30,7 @@ from .clp import verify_clp_bound
 from .errors import ParameterError, ResourceLimitError
 from .families import (
     CUBE_MATERIALIZE_LIMIT,
+    PAIRWISE_OPS,
     FamilyKind,
     SetFamily,
     binom_sum,
@@ -56,14 +62,18 @@ class TheoremId(enum.Enum):
     VC_MONOTONE = "vc_monotone"
 
 
-def _coerce_theorem(theorem) -> TheoremId:
-    if isinstance(theorem, TheoremId):
-        return theorem
+def _coerce_theorem(theorem, p: int | None) -> TheoremId:
+    """The TheoremId named, once p suits its table entry; scans call it before any draw."""
     try:
-        return TheoremId(theorem)
+        theorem = TheoremId(theorem)
     except ValueError:
         names = ", ".join(t.value for t in TheoremId)
         raise ParameterError(f"unknown theorem {theorem!r}; expected one of {names}") from None
+    if p is not None:
+        check_modulus(p)
+    elif _THEOREMS[theorem].needs_p:
+        raise ParameterError(f"{theorem.value} requires a prime modulus p")
+    return theorem
 
 
 @dataclass
@@ -128,44 +138,80 @@ def _instance_dict(instance: SetFamily | ReducedPolynomial) -> dict:
     }
 
 
-def _instance_inequality(theorem: TheoremId, instance, p: int | None) -> tuple[int, int]:
-    """(lhs, rhs) of the instance-level inequality lhs <= rhs; the instance is
-    a polynomial for CLP_BOUND and a family for every other theorem."""
-    if theorem is TheoremId.CLP_BOUND:
-        report = verify_clp_bound(instance)
-        return report.rank, report.bound
-    family = instance
-    n = family.ground_size
-    if theorem is TheoremId.SAUER:
-        return len(family), binom_sum(n, vc_dim(family))
-    if theorem is TheoremId.MAIN:
-        d = vc_dim(pairwise_family(family, family, "sym_diff"))
-        return len(family), 2 * binom_sum(n, d // 2)
-    if theorem is TheoremId.INTDEG_MAIN:
-        e = int_deg(embed_01(pairwise_family(family, family, "sym_diff"), 2))
-        return len(family), 2 * binom_sum(n, e // 2)
-    if theorem is TheoremId.INTDEG_LE_VC:
-        return int_deg(embed_01(family, 2)), vc_dim(family)
-    if theorem is TheoremId.PSUMS:
-        if p is None:
-            raise ParameterError("psums requires a prime modulus p")
-        e = int_deg(k_fold_sumset(embed_01(family, p), p))
-        return len(family), p * monomial_count(p, n, e // p)
-    # TheoremId.VC_MONOTONE
-    lhs = vc_dim(family)
-    rhs = min(vc_dim(pairwise_family(family, family, op)) for op in ("sym_diff", "intersect", "union"))
-    return lhs, rhs
+@lru_cache(maxsize=64)
+def _instance_kernels(n: int, p: int | None = None) -> SimpleNamespace:
+    """The kernel object k the statements below are written over, on one
+    instance at a time: k.size, k.vc, k.int_deg (over F_2) and k.pair of
+    families, k.binom(d) = sum of C(n, i) for i <= d, and k.least and
+    k.every, the min and the short-circuit `and` of their arguments. It is
+    the reference, and the only path for n > CHAR_MAX_N, psums and clp_bound.
+    Each kernel is looked up in this module when called."""
+    return SimpleNamespace(
+        n=n, p=p, size=len, least=min, every=all,
+        vc=lambda a: vc_dim(a),
+        int_deg=lambda a: int_deg(embed_01(a, 2)),
+        pair=lambda a, b, op: pairwise_family(a, b, op),
+        binom=lambda d: binom_sum(n, d),
+    )
+
+
+def _char_kernels(n: int) -> SimpleNamespace:
+    """The same kernels on an int64 array of chars, one family per entry
+    (n <= CHAR_MAX_N); every value is an array over the families."""
+    binoms = np.array([binom_sum(n, d) for d in range(n + 1)])
+    return SimpleNamespace(
+        size=lambda a: popcounts(a),
+        vc=lambda a: vc_dims(a, n),
+        int_deg=lambda a: int_degs(a, n),
+        pair=lambda a, b, op: pairwise_chars(a, b, n, op),
+        binom=lambda d: binoms[d],
+        least=lambda values: np.minimum.reduce(list(values)),
+        every=lambda tests: np.logical_and.reduce(list(tests)),
+    )
+
+
+def _halved(k: SimpleNamespace, d):
+    """The main theorem's bound on |A| when VC(A△A) = d: 2 * binom(d // 2)."""
+    return 2 * k.binom(d // 2)
+
+
+def _psums(k: SimpleNamespace, family: SetFamily) -> tuple[int, int]:
+    e = int_deg(k_fold_sumset(embed_01(family, k.p), k.p))
+    return len(family), k.p * monomial_count(k.p, k.n, e // k.p)
+
+
+def _clp_bound(k: SimpleNamespace, poly: ReducedPolynomial) -> tuple[int, int]:
+    report = verify_clp_bound(poly)
+    return report.rank, report.bound
+
+
+class _Theorem(NamedTuple):
+    inequality: Callable  # (k, A) -> (lhs, rhs) of lhs <= rhs; A is a family, or a polynomial for clp_bound
+    on_chars: bool = True  # the char kernels evaluate it too; else one instance at a time
+    needs_p: bool = False
+
+
+# Each theorem stated once
+_THEOREMS = {
+    TheoremId.SAUER: _Theorem(lambda k, a: (k.size(a), k.binom(k.vc(a)))),
+    TheoremId.MAIN: _Theorem(lambda k, a: (k.size(a), _halved(k, k.vc(k.pair(a, a, "sym_diff"))))),
+    TheoremId.INTDEG_MAIN: _Theorem(lambda k, a: (k.size(a), _halved(k, k.int_deg(k.pair(a, a, "sym_diff"))))),
+    TheoremId.INTDEG_LE_VC: _Theorem(lambda k, a: (k.int_deg(a), k.vc(a))),
+    TheoremId.CLP_BOUND: _Theorem(_clp_bound, on_chars=False),
+    TheoremId.PSUMS: _Theorem(_psums, on_chars=False, needs_p=True),
+    TheoremId.VC_MONOTONE: _Theorem(lambda k, a: (k.vc(a), k.least(k.vc(k.pair(a, a, op)) for op in PAIRWISE_OPS))),
+}
 
 
 def check_instance(theorem, family: SetFamily, p: int | None = None) -> bool:
     """Evaluate one theorem instance; True means the inequality holds."""
-    theorem = _coerce_theorem(theorem)
+    theorem = _coerce_theorem(theorem, p)
     family.require_nonempty("check_instance")
     if theorem is TheoremId.CLP_BOUND:
         raise ParameterError(
             "clp_bound instances are polynomials, not families; use the scan harnesses or verify_clp_bound"
         )
-    lhs, rhs = _instance_inequality(theorem, family, p)
+    lhs, rhs = _THEOREMS[theorem].inequality(_instance_kernels(family.ground_size, p), family)
     return lhs <= rhs
 
 
@@ -230,34 +276,6 @@ def _poly_from_coeff_mask(coeff_mask: int, n: int) -> ReducedPolynomial:
     return ReducedPolynomial(2, n, {decode_point(m, 2, n): 1 for m in char_members(coeff_mask, n)})
 
 
-def _binoms(n: int) -> np.ndarray:
-    return np.array([binom_sum(n, d) for d in range(n + 1)])
-
-
-def _halves(n: int) -> np.ndarray:
-    return np.array([2 * binom_sum(n, d // 2) for d in range(n + 1)])
-
-
-def _sym_diff_chars(chars: np.ndarray, n: int) -> np.ndarray:
-    return pairwise_chars(chars, chars, n, "sym_diff")
-
-
-def _vc_monotone_chars(chars: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    stars = [vc_dims(pairwise_chars(chars, chars, n, op), n) for op in ("sym_diff", "intersect", "union")]
-    return vc_dims(chars, n), np.minimum.reduce(stars)
-
-
-# (lhs, rhs) arrays of _instance_inequality for every family in a char array,
-# for the theorems whose exhaustive scans run on chars; the rest stay per instance
-_CHAR_INEQUALITIES = {
-    TheoremId.SAUER: lambda chars, n: (popcounts(chars), _binoms(n)[vc_dims(chars, n)]),
-    TheoremId.MAIN: lambda chars, n: (popcounts(chars), _halves(n)[vc_dims(_sym_diff_chars(chars, n), n)]),
-    TheoremId.INTDEG_MAIN: lambda chars, n: (popcounts(chars), _halves(n)[int_degs(_sym_diff_chars(chars, n), n)]),
-    TheoremId.INTDEG_LE_VC: lambda chars, n: (int_degs(chars, n), vc_dims(chars, n)),
-    TheoremId.VC_MONOTONE: _vc_monotone_chars,
-}
-
-
 def _key_chunks(start: int, stop: int):
     """The exhaustive keys start .. stop - 1, in order, as int64 arrays of at
     most CHUNK keys: chars, or F_2 coefficient masks for clp_bound."""
@@ -269,11 +287,11 @@ def _check(theorem: TheoremId, p: int | None, n: int, chunk) -> _ScanState:
     """Check one chunk: an int64 array of keys (chars, or F_2 coefficient
     masks for clp_bound) in any order, or a list of sampled instances; the
     instances are recorded in the chunk's order."""
+    inequality, on_chars, _ = _THEOREMS[theorem]
     if isinstance(chunk, np.ndarray):
-        char_inequality = _CHAR_INEQUALITIES.get(theorem)
-        if char_inequality is not None:
+        if on_chars:
             state = _ScanState(partial(_char_dict, n=n))
-            lhs, rhs = char_inequality(chunk, n)
+            lhs, rhs = inequality(_char_kernels(n), chunk)
             for char, left, right in zip(chunk.tolist(), lhs.tolist(), rhs.tolist()):
                 state.record(char, left, right)
             return state
@@ -281,7 +299,7 @@ def _check(theorem: TheoremId, p: int | None, n: int, chunk) -> _ScanState:
         chunk = map(make, chunk.tolist(), repeat(n))
     state = _ScanState()
     for instance in chunk:
-        state.record(instance, *_instance_inequality(theorem, instance, p))
+        state.record(instance, *inequality(_instance_kernels(n, p), instance))
     return state
 
 
@@ -298,8 +316,6 @@ def _scan(
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers}")
     p = parameters["p"]
-    if p is not None:
-        check_modulus(p)
     # a fork pool starts all max_workers processes at once: start no idle ones
     processes = min(workers, -(-total // CHUNK), os.cpu_count() or 1)
     state = _ScanState()
@@ -324,18 +340,13 @@ def _scan(
 
 
 def exhaustive_scan(
-    theorem,
-    n: int,
-    p: int | None = None,
-    *,
-    workers: int = 1,
-    progress=None,
+    theorem, n: int, p: int | None = None, *, workers: int = 1, progress=None
 ) -> VerificationReport:
     """Check every instance over ground size n (families, or F_2 polynomials
     for the rank-bound theorem). Instance space is chunked so long scans can
     run concurrently and report progress; the merged report is deterministic.
     """
-    theorem = _coerce_theorem(theorem)
+    theorem = _coerce_theorem(theorem, p)
     _require_positive_n(n)
     if n > EXHAUSTIVE_MAX_N:
         raise ResourceLimitError(
@@ -356,27 +367,19 @@ def exhaustive_scan(
 
 
 def random_scan(
-    theorem,
-    n: int,
-    p: int | None = None,
-    samples: int = 100,
-    seed: int = 0,
-    *,
-    workers: int = 1,
-    progress=None,
+    theorem, n: int, p: int | None = None, samples: int = 100, seed: int = 0, *, workers: int = 1, progress=None
 ) -> VerificationReport:
     """Seeded random instances: uniform family sizes with uniform distinct
     members, or random bounded-degree polynomials for the rank-bound theorem
     (target degrees cycle through 0..(p-1)*n). Reproducible given the seed.
     """
-    theorem = _coerce_theorem(theorem)
+    theorem = _coerce_theorem(theorem, p)
     _require_positive_n(n)
     if samples < 1:
         raise ParameterError(f"samples must be >= 1, got {samples}")
     gen = SplitMix64(seed)
     if theorem is TheoremId.CLP_BOUND:
-        p = 2 if p is None else p
-        check_modulus(p)  # before p sizes the degree cycle: p=0, n=1 would divide by zero
+        p = 2 if p is None else p  # checked before p sizes the degree cycle: p=0 would divide by zero
         dmax = (p - 1) * n
         instances = [random_polynomial(p, n, i % (dmax + 1), gen) for i in range(samples)]
     else:
@@ -405,41 +408,41 @@ def counterexample_demo(op: str, n: int, d: int) -> CounterexampleReport:
         raise ParameterError(f"d = {d} exceeds n = {n}")
     kind = FamilyKind.lowweight(d) if op == "intersect" else FamilyKind.highweight(d)
     family = generate_family(n, kind)
-    star = pairwise_family(family, family, op)
-    half_bound = 2 * binom_sum(n, d // 2)
+    k = _instance_kernels(n)
+    half_bound = _halved(k, d)
     return CounterexampleReport(
         op=op,
         n=n,
         d=d,
         family_size=len(family),
-        vc_star=vc_dim(star),
+        vc_star=k.vc(k.pair(family, family, op)),
         half_bound=half_bound,
         witness=len(family) > half_bound,
     )
 
 
+# Each open question stated once, as the star families of A whose VC
+# dimension it bounds by d; they are built lazily, so `every` short-circuits.
+_QUESTIONS = {
+    "q1": lambda k, a: (k.pair(a, a, op) for op in ("intersect", "union")),
+    "q2": lambda k, a: (k.pair(k.pair(a, a, "sym_diff"), a, "sym_diff"),),
+}
+
+
+def _stars(question: str):
+    try:
+        return _QUESTIONS[question]
+    except (KeyError, TypeError):
+        raise ParameterError(f"unknown question {question!r}; expected {' or '.join(_QUESTIONS)}") from None
+
+
+def _feasible(stars, k, a, d: int):
+    return k.every(k.vc(star) <= d for star in stars(k, a))
+
+
 def open_question_constraint(question: str, family: SetFamily, d: int) -> bool:
     """The side condition each open-question search maximizes |A| under."""
-    if question == "q1":
-        return (
-            vc_dim(pairwise_family(family, family, "intersect")) <= d
-            and vc_dim(pairwise_family(family, family, "union")) <= d
-        )
-    if question == "q2":
-        double = pairwise_family(family, family, "sym_diff")
-        triple = pairwise_family(double, family, "sym_diff")
-        return vc_dim(triple) <= d
-    raise ParameterError(f"unknown question {question!r}; expected q1 or q2")
-
-
-def _feasible_chars(question: str, chars: np.ndarray, n: int, d: int) -> np.ndarray:
-    """open_question_constraint for every family in a char array."""
-    if question == "q1":
-        return (vc_dims(pairwise_chars(chars, chars, n, "intersect"), n) <= d) & (
-            vc_dims(pairwise_chars(chars, chars, n, "union"), n) <= d
-        )
-    double = pairwise_chars(chars, chars, n, "sym_diff")
-    return vc_dims(pairwise_chars(double, chars, n, "sym_diff"), n) <= d
+    return _feasible(_stars(question), _instance_kernels(family.ground_size), family, d)
 
 
 class _BudgetSpent(Exception):
@@ -510,8 +513,7 @@ def search_open_question(
     (n <= 8). The winning certificate is re-verified against the constraint
     before it is reported.
     """
-    if question not in ("q1", "q2"):
-        raise ParameterError(f"unknown question {question!r}; expected q1 or q2")
+    stars = _stars(question)
     if d < 0:
         raise ParameterError(f"d must be nonnegative, got {d}")
     _require_positive_n(n)
@@ -523,7 +525,7 @@ def search_open_question(
         best: tuple[int, tuple[int, ...]] | None = None
         # ascending chars: keep the first char of each new largest feasible size
         for chars in _key_chunks(1, 1 << (1 << n)):
-            sizes = np.where(_feasible_chars(question, chars, n, d), popcounts(chars), 0)
+            sizes = np.where(_feasible(stars, _char_kernels(n), chars, d), popcounts(chars), 0)
             first = int(sizes.argmax())
             if sizes[first] and (best is None or sizes[first] > best[0]):
                 best = (int(sizes[first]), char_members(int(chars[first]), n))
@@ -551,7 +553,7 @@ def search_open_question(
         mode=mode,
         best_size=best[0],
         binom_bound=binom_sum(n, d),
-        half_bound=2 * binom_sum(n, d // 2),
+        half_bound=_halved(_instance_kernels(n), d),
         certificate=certificate.members,
         instances_examined=examined,
     )

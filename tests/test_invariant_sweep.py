@@ -8,10 +8,9 @@ kernels over all of 2^[4]."""
 
 import pytest
 
-import sumsetvc.verify as verify_module
-from sumsetvc import SetFamily, TheoremId, check_instance, exhaustive_scan, pairwise_family
+from sumsetvc import SetFamily, check_instance, exhaustive_scan, pairwise_family
 
-from test_verify import recorded_stream
+from test_verify import instance_inequality, recorded_stream
 
 
 def all_nonempty_families(n):
@@ -58,4 +57,4 @@ def test_char_scan_stream_equals_per_instance_n4(monkeypatch, theorem):
     stream = recorded_stream(monkeypatch, lambda: exhaustive_scan(theorem, 4))
     assert len(stream) == 65535
     for fam, got in zip(all_nonempty_families(4), stream):
-        assert got == verify_module._instance_inequality(TheoremId(theorem), fam, None), fam.members
+        assert got == instance_inequality(theorem, fam), fam.members

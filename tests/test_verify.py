@@ -148,22 +148,86 @@ def recorded_stream(monkeypatch, scan):
     return stream
 
 
+def instance_inequality(theorem, family, p=None):
+    """(lhs, rhs) of the theorem's one statement, over the per-instance kernels."""
+    kernels = verify_module._instance_kernels(family.ground_size, p)
+    return verify_module._THEOREMS[TheoremId(theorem)].inequality(kernels, family)
+
+
 def test_char_theorems_are_the_family_theorems_without_a_modulus():
-    assert sorted(t.value for t in verify_module._CHAR_INEQUALITIES) == sorted(CHAR_THEOREMS)
+    table = verify_module._THEOREMS
+    assert sorted(t.value for t, entry in table.items() if entry.on_chars) == sorted(CHAR_THEOREMS)
+    assert [t for t, entry in table.items() if entry.needs_p] == [TheoremId.PSUMS]
+
+
+def test_every_theorem_has_exactly_one_table_entry():
+    assert len(verify_module._THEOREMS) == len(TheoremId)
+    assert set(verify_module._THEOREMS) == set(TheoremId)
+
+
+def test_cli_choices_are_the_table_keys():
+    from sumsetvc.cli import build_parser
+
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    choices = {
+        (command, action.dest): action.choices
+        for command in ("verify", "search")
+        for action in commands[command]._actions
+    }
+    assert choices["verify", "theorem"] == [t.value for t in verify_module._THEOREMS]
+    assert choices["search", "question"] == list(verify_module._QUESTIONS)
+
+
+def test_unknown_question_names_the_table():
+    for call in (
+        lambda: search_open_question("q3", 3, 2),
+        lambda: open_question_constraint("q3", SetFamily(2, (0,)), 1),
+    ):
+        with pytest.raises(ParameterError) as exc:
+            call()
+        assert str(exc.value) == "unknown question 'q3'; expected q1 or q2"
+
+
+def test_q1_constraint_short_circuits_on_the_first_star(monkeypatch):
+    # the powerset of 2^[3] is its own intersection star, VC dimension 3 > 0,
+    # so the union star is never built
+    ops = []
+    pairwise = verify_module.pairwise_family
+    monkeypatch.setattr(verify_module, "pairwise_family", lambda a, b, op: ops.append(op) or pairwise(a, b, op))
+    assert not open_question_constraint("q1", SetFamily(3, tuple(range(8))), 0)
+    assert ops == ["intersect"]
+    assert open_question_constraint("q1", SetFamily(3, (0,)), 0)
+    assert ops == ["intersect", "intersect", "union"]
+
+
+def test_psums_without_a_modulus_fails_before_anything_is_drawn(monkeypatch):
+    def never(*args):
+        raise AssertionError("drew or enumerated an instance")
+
+    monkeypatch.setattr(verify_module, "sample_distinct", never)
+    monkeypatch.setattr(verify_module, "_key_chunks", never)
+    for scan in (lambda: random_scan("psums", 5, samples=10), lambda: exhaustive_scan("psums", 3)):
+        with pytest.raises(ParameterError) as exc:
+            scan()
+        assert str(exc.value) == "psums requires a prime modulus p"
+    with pytest.raises(ParameterError, match="modulus must be prime, got 6"):
+        random_scan("sauer", 5, p=6, samples=10)
 
 
 @pytest.mark.parametrize("theorem", CHAR_THEOREMS)
 def test_char_scan_records_the_per_instance_stream(monkeypatch, theorem):
     for n in (1, 2, 3):
         stream = recorded_stream(monkeypatch, lambda: exhaustive_scan(theorem, n))
-        want = [verify_module._instance_inequality(TheoremId(theorem), f, None) for f in all_nonempty_families(n)]
+        want = [instance_inequality(theorem, f) for f in all_nonempty_families(n)]
         assert stream == want, n
         assert all(type(x) is int for pair in stream for x in pair)
 
 
 def per_instance_scan(monkeypatch, theorem, n):
+    """The exhaustive scan with the theorem's table entry marked per instance."""
+    entry = verify_module._THEOREMS[TheoremId(theorem)]
     with monkeypatch.context() as m:
-        m.setattr(verify_module, "_CHAR_INEQUALITIES", {})
+        m.setitem(verify_module._THEOREMS, TheoremId(theorem), entry._replace(on_chars=False))
         return exhaustive_scan(theorem, n)
 
 
@@ -203,9 +267,15 @@ def test_check_records_a_shuffled_strided_char_array_in_its_order(monkeypatch, n
             m.setattr(verify_module._ScanState, "record", lambda state, *args: recorded.append(args))
             verify_module._check(theorem, None, n, chars)
         family = verify_module._family_from_char
-        want = [(c, *verify_module._instance_inequality(theorem, family(c, n), None)) for c in chars.tolist()]
+        want = [(c, *instance_inequality(theorem, family(c, n))) for c in chars.tolist()]
         assert recorded == want, theorem
         assert all(type(x) is int for entry in recorded for x in entry)
+    # the open questions' char and per-family constraints agree on the same array
+    families = [verify_module._family_from_char(c, n) for c in chars.tolist()]
+    for question, stars in verify_module._QUESTIONS.items():
+        for d in range(n + 1):
+            feasible = verify_module._feasible(stars, verify_module._char_kernels(n), chars, d)
+            assert feasible.tolist() == [open_question_constraint(question, f, d) for f in families], (question, d)
 
 
 def test_scan_builds_instance_dicts_only_for_kept_instances(monkeypatch):
