@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, islice
 
 import numpy as np
 
@@ -116,17 +116,21 @@ def _grade_columns(p: int, n: int, points: tuple[int, ...]):
 def _graded_span(p: int, n: int, points: tuple[int, ...]):
     """Yield (d, tracker) once the tracker holds every monomial column of degree <= d.
 
-    Columns (see _grade_columns) go to a SpanTrackerGF2 for p = 2 and to a
-    SpanTrackerModP otherwise; each grade is enumerated only when reached.
+    Columns (see _grade_columns) go to the field's span tracker in batches of
+    at most |X| = len(points), so the mod-p span holds at most one |X| x |X|
+    block beyond its pivot rows. A grade is built only when reached and fed until
+    it runs out or the rank is |X| (a batch that adds nothing does not stop it).
     """
     columns = _grade_columns(p, n, points)
     tracker = SpanTrackerGF2() if p == 2 else SpanTrackerModP(p)
     full = len(points)
     for d in range((p - 1) * n + 1):
-        for col in columns(d):
-            tracker.add(col)
-            if tracker.rank == full:  # every further column reduces to zero
+        grade = columns(d)
+        while tracker.rank < full:
+            batch = list(islice(grade, full))
+            if not batch:
                 break
+            tracker.add(batch)
         yield d, tracker
     raise AssertionError("the full reduced basis spans every function")
 

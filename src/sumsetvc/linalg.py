@@ -1,22 +1,22 @@
 """Dense matrices over prime fields and exact rank computation.
 
-Two elimination paths share one pivot rule (first nonzero entry in column
-order, scanning rows top-down), and only rank values are observable; a
-differential test makes them agree.
+One span tracker per field does every elimination: `add(vectors)` absorbs a
+batch and returns how many grew the span, `contains(vec)` tests membership,
+and the rank of a matrix is a fresh tracker's `add` over its rows.
 
-- p = 2: rows packed into Python integers and reduced by XOR
-  (`rank_gf2_packed`, a `SpanTrackerGF2` loop).
-- General p: row echelon on an int64 copy (`_rank_generic`). A pivot at
-  (r, c) updates only the trailing block m[r+1:, c+1:], since nothing above
-  or left of it is read again. The pivot column is reduced mod p when it is
-  read and the pivot row is reduced and scaled by the pivot's inverse, so an
-  update subtracts products of residues, each at most (p-1)^2. The block
-  itself is reduced mod p only when one more update could leave int64: after
-  k updates since its last reduction its entries lie within
-  ±(p + k*(p-1)^2) < 2**63. This keeps the arithmetic exact for every
-  modulus that `check_modulus` admits (p*p < 2**63). The schedule depends on
-  p alone: at p = 3 the block is never reduced, at p = 3037000493 before
-  every update after the first.
+- p = 2: `SpanTrackerGF2`, bit-packed ints (bit j = entry j) reduced by XOR.
+- General p: `SpanTrackerModP` sweeps the columns of a 2-D int64 block of
+  row vectors. At a column with a stored pivot row it clears the rows not yet
+  pivots; elsewhere the first of them nonzero there is stored, normalized (1
+  at the column, 0 left of it), and clears the rows below it. Each update
+  touches only rows and columns still to be read.
+
+Each update subtracts products of residues, each at most (p-1)^2, so after k
+updates an entry lies within +-(p + k*(p-1)^2), and the rows still to be read
+are reduced mod p only when one more update could leave int64. Blocks enter
+as residues and stored rows are residues, so this holds across blocks and for
+every modulus `check_modulus` admits (p*p < 2**63). Memory: at most one row
+per column, so vectors of length m take m x m int64 beyond the block added.
 """
 
 from __future__ import annotations
@@ -86,48 +86,14 @@ def pack_gf2_rows(matrix: FieldMatrix) -> list[int]:
 
 def rank_gf2_packed(rows: Iterable[int]) -> int:
     """Rank over F_2 of bit-packed rows; pivots claimed in column order."""
-    tracker = SpanTrackerGF2()
-    for row in rows:
-        tracker.add(row)
-    return tracker.rank
-
-
-_INT64_MAX = 2**63 - 1
-
-
-def _rank_generic(array: np.ndarray, p: int) -> int:
-    m = array.copy()
-    n_rows, n_cols = m.shape
-    step = (p - 1) ** 2  # the most one update moves an entry of the trailing block
-    bound = p  # |entry| of the trailing block stays at most this
-    r = 0
-    for c in range(n_cols):
-        col = m[r:, c] % p
-        nz = col.nonzero()[0]
-        if nz.size == 0:
-            continue
-        piv = int(nz[0])
-        if piv:
-            m[[r, r + piv], c + 1 :] = m[[r + piv, r], c + 1 :]
-            col[[0, piv]] = col[[piv, 0]]
-        row = m[r, c + 1 :] % p * pow(int(col[0]), -1, p) % p
-        block = m[r + 1 :, c + 1 :]
-        if bound > _INT64_MAX - step:
-            block %= p
-            bound = p
-        block -= np.multiply.outer(col[1:], row)
-        bound += step
-        r += 1
-        if r == n_rows:
-            break
-    return r
+    return SpanTrackerGF2().add(rows)
 
 
 def rank(matrix: FieldMatrix) -> int:
-    """Exact rank over F_p: the packed kernel for p=2, modular elimination otherwise."""
+    """Exact rank over F_p: the rows added to a fresh tracker of the field."""
     if matrix.modulus == 2:
         return rank_gf2_packed(pack_gf2_rows(matrix))
-    return _rank_generic(matrix.array, matrix.modulus)
+    return SpanTrackerModP(matrix.modulus).add(matrix.array)
 
 
 class SpanTrackerGF2:
@@ -136,7 +102,7 @@ class SpanTrackerGF2:
     __slots__ = ("_pivots",)
 
     def __init__(self):
-        self._pivots: dict[int, int] = {}
+        self._pivots: dict[int, int] = {}  # lowest set bit -> pivot row
 
     @property
     def rank(self) -> int:
@@ -154,12 +120,18 @@ class SpanTrackerGF2:
     def contains(self, vec: int) -> bool:
         return self.reduce(vec) == 0
 
-    def add(self, vec: int) -> bool:
-        cur = self.reduce(vec)
-        if cur == 0:
-            return False
-        self._pivots[cur & -cur] = cur
-        return True
+    def add(self, vectors: Iterable[int]) -> int:
+        """Absorb the vectors in order; returns how many grew the span."""
+        pivots = self._pivots
+        before = len(pivots)
+        for vec in vectors:
+            cur = self.reduce(vec)
+            if cur:
+                pivots[cur & -cur] = cur
+        return len(pivots) - before
+
+
+_INT64_MAX = 2**63 - 1
 
 
 class SpanTrackerModP:
@@ -170,35 +142,56 @@ class SpanTrackerModP:
     def __init__(self, modulus: int):
         check_modulus(modulus)
         self.modulus = modulus
-        self._pivots: dict[int, np.ndarray] = {}
+        self._pivots: dict[int, np.ndarray] = {}  # pivot column -> row
 
     @property
     def rank(self) -> int:
         return len(self._pivots)
 
-    def reduce(self, vec: np.ndarray) -> np.ndarray:
-        p = self.modulus
-        cur = np.mod(np.asarray(vec, dtype=np.int64), p)
-        while True:
-            nz = cur.nonzero()[0]
+    def _eliminate(self, vectors) -> tuple[np.ndarray, list[int]]:
+        """Row echelon of the vectors against the pivot rows: the new pivot
+        rows, normalized, and their columns."""
+        p, pivots = self.modulus, self._pivots
+        m = np.array(vectors, dtype=np.int64, ndmin=2)
+        if m.size and (m.min() < 0 or m.max() >= p):  # checked first: reducing is slower
+            m %= p
+        n_rows, n_cols = m.shape
+        step = (p - 1) ** 2  # the most one update moves an entry
+        bound = p  # |entry| of the rows still to be read stays at most this
+        new = []
+        r = 0
+        for c in range(n_cols):
+            if r == n_rows:
+                break
+            col = m[r:, c] % p
+            nz = col.nonzero()[0]
             if nz.size == 0:
-                return cur
-            j = int(nz[0])
-            piv = self._pivots.get(j)
-            if piv is None:
-                return cur
-            cur -= cur[j] * piv
-            cur %= p
+                continue
+            row = pivots.get(c)
+            if row is None:
+                piv = int(nz[0])
+                if piv:
+                    m[[r, r + piv], c:] = m[[r + piv, r], c:]
+                    col[[0, piv]] = col[[piv, 0]]
+                m[r, :c] = 0
+                row = m[r]
+                row[c:] = row[c:] % p * pow(int(col[0]), -1, p) % p
+                new.append(c)
+                r += 1
+                col = col[1:]
+            rest = m[r:, c:]
+            if bound > _INT64_MAX - step:
+                rest %= p
+                bound = p
+            rest -= np.multiply.outer(col, row[c:])
+            bound += step
+        return m[:r], new
 
     def contains(self, vec: np.ndarray) -> bool:
-        return not self.reduce(vec).any()
+        return not self._eliminate(vec)[1]
 
-    def add(self, vec: np.ndarray) -> bool:
-        cur = self.reduce(vec)
-        nz = cur.nonzero()[0]
-        if nz.size == 0:
-            return False
-        j = int(nz[0])
-        inv = pow(int(cur[j]), -1, self.modulus)
-        self._pivots[j] = cur * inv % self.modulus
-        return True
+    def add(self, vectors) -> int:
+        """Absorb the rows of a 2-D array-like (or one vector); returns how many grew the span."""
+        rows, new = self._eliminate(vectors)
+        self._pivots.update(zip(new, rows.copy()))  # copied apart from the rest of the block
+        return len(new)

@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .chars import char_members, int_degs, pairwise_chars, popcounts, vc_dims
-from .clp import verify_clp_bound
+from .clp import DEFAULT_POINT_LIMIT, verify_clp_bound
 from .errors import ParameterError, ResourceLimitError
 from .families import (
     CUBE_MATERIALIZE_LIMIT,
@@ -380,6 +380,8 @@ def random_scan(
     gen = SplitMix64(seed)
     if theorem is TheoremId.CLP_BOUND:
         p = 2 if p is None else p  # checked before p sizes the degree cycle: p=0 would divide by zero
+        # each instance's matrix side is p**n, so n is bounded before the first draw
+        check_power(p, n, DEFAULT_POINT_LIMIT, "matrix side p**n", ResourceLimitError)
         dmax = (p - 1) * n
         instances = [random_polynomial(p, n, i % (dmax + 1), gen) for i in range(samples)]
     else:

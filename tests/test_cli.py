@@ -447,6 +447,8 @@ def test_report_key_order_and_text_lines(tmp_path, capsys):
         pytest.param(b"", ["verify", "--theorem", "main", "--n", "20000"], id="verify-huge-n"),
         pytest.param(b"", ["verify", "--theorem", "sauer", "--mode", "random", "--n", "40",
                            "--samples", "1"], id="verify-random-huge-n"),
+        pytest.param(b"", ["verify", "--theorem", "clp_bound", "--mode", "random", "--n", "30",
+                           "--samples", "20"], id="verify-random-clp-huge-n"),
         pytest.param(b"", ["gen-family", "--n", "28", "--kind", "powerset"],
                      id="gen-family-huge-powerset"),
         pytest.param(b"", ["gen-family", "--n", "1000000", "--kind", "lowweight", "--d", "1000000"],

@@ -28,7 +28,7 @@ from sumsetvc import (
 )
 from sumsetvc.cli import run as run_cli
 from sumsetvc.clp import _gf2_sum_rows, _pairwise_sum_index, decomposition_values, sum_grid_values
-from sumsetvc.linalg import _rank_generic, pack_gf2_rows
+from sumsetvc.linalg import SpanTrackerModP, pack_gf2_rows
 from sumsetvc.sampling import SplitMix64, sample_distinct
 
 
@@ -121,7 +121,7 @@ def test_verify_clp_bound_gf2_rank_matches_generic_elimination():
     gen = SplitMix64(808)
     for d in range(9):
         poly = random_polynomial(2, 8, d, gen)
-        assert verify_clp_bound(poly).rank == _rank_generic(clp_matrix(poly).array, 2)
+        assert verify_clp_bound(poly).rank == SpanTrackerModP(2).add(clp_matrix(poly).array)
 
 
 def test_verify_clp_bound_gf2_keeps_the_matrix_side_guard(capsys):

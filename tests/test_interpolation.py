@@ -125,6 +125,9 @@ def test_deg_on_set_examples():
     diag = PointSet.from_points(2, 2, [0, 3])
     assert deg_on_set(PartialFunction(diag, (0, 1))) == 1
 
+    # x1 and x2, the first batch of grade 1, vanish on {0, e3}; x3 comes after them
+    assert deg_on_set(PartialFunction(PointSet(3, 3, (0, 9)), (0, 1))) == 1
+
 
 def test_deg_on_set_matches_brute_force_p2_n2_exhaustive():
     from itertools import product
@@ -167,6 +170,10 @@ def test_int_deg_examples():
     for n in (1, 2, 3):
         assert int_deg(full_cube(2, n)) == n
     assert int_deg(PointSet.from_points(2, 2, [0, 3])) == 1
+    # the first |X| = 2 columns of grade 1 vanish on these sets, so a batch of
+    # grade 1 adds nothing before the one that spans
+    assert int_deg(PointSet(3, 3, (0, 9))) == 1
+    assert int_deg(PointSet(2, 3, (0, 4))) == 1
 
 
 def test_int_deg_of_proper_subsets_is_below_n():

@@ -9,7 +9,6 @@ from sumsetvc.families import encode_point
 from sumsetvc.linalg import (
     SpanTrackerGF2,
     SpanTrackerModP,
-    _rank_generic,
     pack_gf2_rows,
     rank_gf2_packed,
 )
@@ -42,6 +41,9 @@ def test_rank_zero_and_rectangular():
     assert rank(FieldMatrix(3, np.zeros((3, 5), dtype=np.int64))) == 0
     m = FieldMatrix.from_rows(2, [[1, 0, 1], [0, 1, 1], [1, 1, 0]])
     assert rank(m) == 2  # third row is the sum of the first two
+    for p in (2, 3):
+        for shape in ((0, 3), (3, 0), (0, 0)):
+            assert rank(FieldMatrix(p, np.zeros(shape, dtype=np.int64))) == 0
 
 
 def test_matrix_validation():
@@ -65,7 +67,7 @@ def test_packed_equals_generic_on_seeded_matrices():
         rows = 1 + gen.below(24)
         cols = 1 + gen.below(24)
         m = random_matrix(2, rows, cols, gen)
-        assert rank_gf2_packed(pack_gf2_rows(m)) == _rank_generic(m.array, 2)
+        assert rank_gf2_packed(pack_gf2_rows(m)) == SpanTrackerModP(2).add(m.array)
 
 
 def test_rank_invariant_under_row_permutation_and_transpose():
@@ -92,9 +94,9 @@ def test_pack_gf2_rows_round_trip():
 
 def test_span_tracker_gf2_membership():
     tracker = SpanTrackerGF2()
-    assert tracker.add(0b0011)
-    assert tracker.add(0b0101)
-    assert not tracker.add(0b0110)  # xor of the first two
+    assert tracker.add([0b0011]) == 1
+    assert tracker.add([0b0101]) == 1
+    assert tracker.add([0b0110]) == 0  # xor of the first two
     assert tracker.rank == 2
     assert tracker.contains(0b0000)
     assert tracker.contains(0b0110)
@@ -133,6 +135,8 @@ def test_modulus_boundary_for_exact_int64_products():
         for j in range(5):
             tracker.add(m.array[:, j])
         assert tracker.rank == 2
+        # entries outside 0..p-1 are taken mod p before the first update
+        assert SpanTrackerModP(largest).add(m.array - largest * 2**30) == 2
     too_large = 3037000507  # the next prime
     with pytest.raises(ParameterError):
         FieldMatrix.identity(too_large, 2)
@@ -156,7 +160,13 @@ def test_rank_of_low_rank_products_matches_naive_rank(p):
         u = [[gen.below(p) for _ in range(k)] for _ in range(rows)]
         v = [[gen.below(p) for _ in range(cols)] for _ in range(k)]
         matrix = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*v)] for row in u]
-        assert rank(FieldMatrix.from_rows(p, matrix)) == naive_rank(matrix, p)
+        expected = naive_rank(matrix, p)
+        assert rank(FieldMatrix.from_rows(p, matrix)) == expected
+        # fed in blocks of three rows, later blocks take updates from stored rows
+        tracker = SpanTrackerModP(p)
+        for start in range(0, rows, 3):
+            tracker.add(matrix[start : start + 3])
+        assert tracker.rank == expected
 
 
 @pytest.mark.parametrize("p,n", [(3, 4), (5, 3)])
@@ -187,6 +197,17 @@ def test_kernels_match_oracles_at_random_primes(data):
     for j in range(cols):
         tracker.add(m.array[:, j])
     assert tracker.rank == expected
+    # the columns fed as consecutive blocks: each block is reduced against the
+    # pivot rows of the earlier ones, so the delayed reduction spans blocks
+    cuts = sorted(data.draw(st.lists(st.integers(1, cols), max_size=3), label="cuts"))
+    tracker = SpanTrackerModP(p)
+    for start, stop in zip([0] + cuts, cuts + [cols]):
+        tracker.add(m.array[:, start:stop].T)
+        prefix = [row[:stop] for row in matrix]
+        assert tracker.rank == naive_rank(prefix, p)
+        vec = data.draw(st.lists(residues, min_size=rows, max_size=rows), label="vec")
+        inside = naive_rank([row + [x] for row, x in zip(prefix, vec)], p) == tracker.rank
+        assert tracker.contains(vec) == inside
 
     n = data.draw(st.integers(1, 2), label="n")
     vectors = st.tuples(*[residues] * n)

@@ -341,6 +341,16 @@ def test_random_scan_bounds_n_for_family_theorems(monkeypatch):
         random_scan("sauer", 4, samples=5, seed=1)
 
 
+def test_random_scan_bounds_n_for_clp_bound():
+    # each matrix side is p**n: past the point guard no polynomial is drawn
+    for n, p in [(13, 2), (30, 2), (8, 3)]:
+        with pytest.raises(ResourceLimitError, match=r"matrix side p\*\*n = .* exceeds the guard 4096"):
+            random_scan("clp_bound", n, p, samples=20, seed=0)
+    # the largest admitted sides still scan
+    for n, p in [(12, 2), (7, 3)]:
+        assert random_scan("clp_bound", n, p, samples=1, seed=0).instances_checked == 1
+
+
 @pytest.mark.parametrize("workers", [0, -1])
 def test_scans_reject_fewer_than_one_worker(workers):
     with pytest.raises(ParameterError):
