@@ -39,6 +39,7 @@ from .clp import (
 )
 from .errors import ParameterError, SumsetVCError
 from .families import (
+    PAIRWISE_OPS,
     FamilyKind,
     PointSet,
     embed_01,
@@ -49,6 +50,7 @@ from .families import (
     pairwise_family,
     parse_digits,
     parse_family_text,
+    parse_natural,
 )
 from .interpolation import (
     PartialFunction,
@@ -57,10 +59,11 @@ from .interpolation import (
     int_deg,
     represent_monomial,
 )
-from .polynomials import ReducedPolynomial, indicator_of_zero, monomial_count, random_polynomial
+from .polynomials import ReducedPolynomial, indicator_of_zero, random_polynomial
 from .sampling import SplitMix64
 from .vc import shattered_sets
 from .verify import (
+    _COUNTEREXAMPLES,
     _QUESTIONS,
     TheoremId,
     VerificationReport,
@@ -216,7 +219,7 @@ def _parse_elements(spec: str, n: int) -> int:
     mask = 0
     for piece in spec.split(","):
         try:
-            elem = int(piece)
+            elem = parse_natural(piece)
         except ValueError:
             raise ParameterError(f"bad ground element {piece!r}") from None
         if not 1 <= elem <= n:
@@ -274,9 +277,12 @@ def _handle_family_op(args) -> tuple[int, str]:
     return 0, format_family_text(result)
 
 
-def _resolve_polynomial(args) -> ReducedPolynomial:
+def _resolve_polynomial(args, points: PointSet | None = None) -> ReducedPolynomial:
+    """--in-poly, else over a tensor family's points the indicator of zero, else a random draw."""
     if args.in_poly is not None:
         return _load_polynomial(args.in_poly)
+    if points is not None:
+        return indicator_of_zero(points.modulus, points.dimension)
     if args.n is None or args.d is None:
         raise ParameterError("either --in-poly or both --n and --d are required")
     return random_polynomial(args.p, args.n, args.d, SplitMix64(args.seed))
@@ -296,11 +302,7 @@ def _handle_clp_rank(args) -> tuple[int, str]:
 def _handle_slice_decompose(args) -> tuple[int, str]:
     if args.tensor_family is not None:
         points = _read_family_file(args.tensor_family)
-        if args.in_poly is not None:
-            poly = _load_polynomial(args.in_poly)
-        else:
-            poly = indicator_of_zero(points.modulus, points.dimension)
-        tensor = sum_tensor(poly, points, args.k, entry_limit=args.entry_guard)
+        tensor = sum_tensor(_resolve_polynomial(args, points), points, args.k, entry_limit=args.entry_guard)
         bounds = diagonal_slice_rank_bounds(tensor)
         payload = {
             "p": tensor.modulus,
@@ -312,16 +314,15 @@ def _handle_slice_decompose(args) -> tuple[int, str]:
         return 0, _report(args.command_echo, payload)
     poly = _resolve_polynomial(args)
     dec = slice_decompose(poly, args.k, grid_limit=args.grid_guard)
-    bound = args.k * monomial_count(poly.modulus, poly.dimension, poly.degree() // args.k)
     recon = reconstruction_matches(dec, poly, grid_limit=args.grid_guard)
     payload = {
         "p": poly.modulus,
         "n": poly.dimension,
         "arity": args.k,
-        "degree": poly.degree(),
+        "degree": dec.degree,
         "term_count": dec.term_count(),
-        "bound": bound,
-        "within_bound": dec.term_count() <= bound,
+        "bound": dec.bound,
+        "within_bound": dec.term_count() <= dec.bound,
         "reconstruction_ok": recon,
         "terms": [
             {
@@ -332,7 +333,7 @@ def _handle_slice_decompose(args) -> tuple[int, str]:
             for term in dec.terms
         ],
     }
-    return (0 if recon and dec.term_count() <= bound else 1), _report(args.command_echo, payload)
+    return (0 if recon and payload["within_bound"] else 1), _report(args.command_echo, payload)
 
 
 def _verify_csv(report: VerificationReport) -> str:
@@ -425,17 +426,29 @@ def build_parser() -> argparse.ArgumentParser:
         "for sumsets of set families, with theorem verification harnesses.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # options shared by subcommands, each declared once: the output file and the polynomial source
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="write to this file instead of standard output")
+    poly = argparse.ArgumentParser(add_help=False)
+    poly.add_argument("--p", type=int, default=2)
+    poly.add_argument("--n", type=int, default=None)
+    poly.add_argument("--d", type=int, default=None, help="degree bound for a random polynomial")
+    poly.add_argument("--seed", type=int, default=0)
+    poly.add_argument("--in-poly", default=None, help="JSON polynomial file instead of random")
 
-    gen = sub.add_parser("gen-family", help="generate a named family and write the text format")
+    def command(name, handler, help, *parents):
+        cmd = sub.add_parser(name, help=help, parents=[*parents, out])
+        cmd.set_defaults(handler=handler)
+        return cmd
+
+    gen = command("gen-family", _handle_gen_family, "generate a named family and write the text format")
     gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--kind", choices=["lowweight", "highweight", "powerset", "random"], required=True)
+    gen.add_argument("--kind", choices=FamilyKind._NAMES, required=True)
     gen.add_argument("--d", type=int, default=None, help="weight bound for lowweight/highweight")
     gen.add_argument("--size", type=int, default=None, help="family size for random")
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--out", default=None)
-    gen.set_defaults(handler=_handle_gen_family)
 
-    vcd = sub.add_parser("vcdim", help="VC dimension of a p=2 family file")
+    vcd = command("vcdim", _handle_vcdim, "VC dimension of a p=2 family file")
     vcd.add_argument("--in", dest="infile", required=True)
     vcd.add_argument("--report", default=None, help="also write the full shattering report JSON")
     vcd.add_argument("--witness", default=None, metavar="ELEMS",
@@ -443,56 +456,37 @@ def build_parser() -> argparse.ArgumentParser:
     vcd.add_argument("--represent", default=None, metavar="ELEMS",
                      help="comma-separated ground elements: print a low-degree polynomial equal "
                      "to that monomial on the family")
-    vcd.add_argument("--out", default=None)
-    vcd.set_defaults(handler=_handle_vcdim)
 
-    ideg = sub.add_parser("intdeg", help="interpolation degree of a family file over its modulus")
+    ideg = command("intdeg", _handle_intdeg, "interpolation degree of a family file over its modulus")
     ideg.add_argument("--in", dest="infile", required=True)
     ideg.add_argument("--values", default=None,
                       help="digit string aligned with the canonical (ascending) domain order: "
                       "minimal representing degree of that partial function instead")
-    ideg.add_argument("--out", default=None)
-    ideg.set_defaults(handler=_handle_intdeg)
 
-    fop = sub.add_parser("family-op", help="pairwise set operations, sumsets and embeddings")
-    fop.add_argument("--op", choices=["sym-diff", "intersect", "union", "sumset", "embed"], required=True)
+    fop = command("family-op", _handle_family_op, "pairwise set operations, sumsets and embeddings")
+    fop.add_argument("--op", choices=[op.replace("_", "-") for op in PAIRWISE_OPS] + ["sumset", "embed"],
+                     required=True)
     fop.add_argument("--in", dest="infile", required=True)
     fop.add_argument("--in2", default=None, help="second operand (defaults to the first)")
     fop.add_argument("--k", type=int, default=None, help="fold count for sumset")
     fop.add_argument("--p", type=int, default=None, help="target modulus for embed")
-    fop.add_argument("--out", default=None)
-    fop.set_defaults(handler=_handle_family_op)
 
-    clp = sub.add_parser("clp-rank", help="rank of the sum matrix M[x,y] = P(x+y) vs its bound")
-    clp.add_argument("--p", type=int, default=2)
-    clp.add_argument("--n", type=int, default=None)
-    clp.add_argument("--d", type=int, default=None, help="degree bound for a random polynomial")
-    clp.add_argument("--seed", type=int, default=0)
-    clp.add_argument("--in-poly", default=None, help="JSON polynomial file instead of random")
+    clp = command("clp-rank", _handle_clp_rank, "rank of the sum matrix M[x,y] = P(x+y) vs its bound", poly)
     clp.add_argument("--point-guard", type=int, default=DEFAULT_POINT_LIMIT,
                      help="maximum p**n (matrix side)")
     clp.add_argument("--format", choices=["json", "text"], default="json")
-    clp.add_argument("--out", default=None)
-    clp.set_defaults(handler=_handle_clp_rank)
 
-    sld = sub.add_parser("slice-decompose",
-                         help="explicit slice decomposition of f(X^1+...+X^k), or sum-tensor "
-                         "diagonality when --tensor-family is given")
-    sld.add_argument("--p", type=int, default=2)
-    sld.add_argument("--n", type=int, default=None)
+    sld = command("slice-decompose", _handle_slice_decompose,
+                  "explicit slice decomposition of f(X^1+...+X^k), or sum-tensor "
+                  "diagonality when --tensor-family is given", poly)
     sld.add_argument("--k", type=int, required=True)
-    sld.add_argument("--d", type=int, default=None)
-    sld.add_argument("--seed", type=int, default=0)
-    sld.add_argument("--in-poly", default=None)
     sld.add_argument("--tensor-family", default=None,
                      help="family file: build the k-fold sum tensor over it (default generator: "
                      "indicator of the zero vector)")
     sld.add_argument("--grid-guard", type=int, default=DEFAULT_GRID_LIMIT)
     sld.add_argument("--entry-guard", type=int, default=DEFAULT_ENTRY_LIMIT)
-    sld.add_argument("--out", default=None)
-    sld.set_defaults(handler=_handle_slice_decompose)
 
-    ver = sub.add_parser("verify", help="exhaustive or seeded-random theorem scans")
+    ver = command("verify", _handle_verify, "exhaustive or seeded-random theorem scans")
     ver.add_argument("--theorem", choices=[t.value for t in TheoremId], default=None)
     ver.add_argument("--n", type=int, default=None)
     ver.add_argument("--p", type=int, default=None)
@@ -511,20 +505,15 @@ def build_parser() -> argparse.ArgumentParser:
                      help="validate a saved report (schema, content_digest) and exit 1 if it "
                      "records violations")
     ver.add_argument("--format", choices=["json", "csv"], default="json")
-    ver.add_argument("--out", default=None)
-    ver.set_defaults(handler=_handle_verify)
 
-    demo = sub.add_parser("demo-counterexample",
-                          help="the weight-bounded construction beating the halved bound for "
-                          "intersection/union")
-    demo.add_argument("--op", choices=["intersect", "union"], required=True)
+    demo = command("demo-counterexample", _handle_demo,
+                   "the weight-bounded construction beating the halved bound for intersection/union")
+    demo.add_argument("--op", choices=list(_COUNTEREXAMPLES), required=True)
     demo.add_argument("--n", type=int, required=True)
     demo.add_argument("--d", type=int, required=True)
     demo.add_argument("--format", choices=["json", "csv", "text"], default="json")
-    demo.add_argument("--out", default=None)
-    demo.set_defaults(handler=_handle_demo)
 
-    sch = sub.add_parser("search", help="finite-evidence search for the open questions")
+    sch = command("search", _handle_search, "finite-evidence search for the open questions")
     sch.add_argument("--question", choices=list(_QUESTIONS), required=True)
     sch.add_argument("--n", type=int, required=True)
     sch.add_argument("--d", type=int, required=True)
@@ -532,8 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
     sch.add_argument("--budget", type=int, default=5000)
     sch.add_argument("--seed", type=int, default=0)
     sch.add_argument("--format", choices=["json", "csv"], default="json")
-    sch.add_argument("--out", default=None)
-    sch.set_defaults(handler=_handle_search)
 
     return parser
 

@@ -1,12 +1,12 @@
 """Sum matrices and tensors of a polynomial, and their slice-rank bounds.
 
-For a degree-d polynomial P the matrix M[x, y] = P(x + y) over all of
-F_p^n has rank at most twice the number of monomials of degree at most
-floor(d/2): expanding P at a coordinate sum splits every monomial so that
-one side has low degree. The k-fold analogue writes f(X^1 + ... + X^k) as
-a sum of terms, each multiplicative in the axis whose variable group got
-low degree (ties broken toward the lowest axis index), giving an explicit
-decomposition with at most k * |monomials of degree <= floor(d/k)| terms.
+`polynomial_method_bound` is the one bound here: k * m(floor(d/k)), where m
+counts the monomials of degree at most floor(d/k). At k = 2 it bounds the rank
+of M[x, y] = P(x + y) over F_p^n for P of degree d: expanding P at a coordinate
+sum splits each monomial so that one side has low degree. The k-fold analogue
+writes f(X^1 + ... + X^k) as a sum of terms, each multiplicative in the lowest
+axis whose variable group got low degree; `SliceDecomposition.bound` is the
+bound at k = arity, and `sumsetvc.verify` reads it at k = p for p-fold sumsets.
 Nothing cancels in that expansion: every exponent of a reduced term is
 below p, so each multinomial coefficient is a unit mod p, and distinct
 splits of distinct terms give distinct monomials. The decomposition is
@@ -74,8 +74,12 @@ class SliceDecomposition:
     modulus: int
     dimension: int
     arity: int
-    max_axis_degree: int
+    degree: int  # of the decomposed polynomial; each axis takes degree // arity at most
     terms: tuple[SliceTerm, ...]
+
+    @property
+    def bound(self) -> int:
+        return polynomial_method_bound(self.modulus, self.dimension, self.degree, self.arity)
 
     def term_count(self) -> int:
         return len(self.terms)
@@ -136,6 +140,11 @@ def _gf2_sum_rows(poly: ReducedPolynomial, *, point_limit: int = DEFAULT_POINT_L
     return _images(values, n, "sym_diff")[:, 0].tolist()
 
 
+def polynomial_method_bound(p: int, n: int, d: int, k: int) -> int:
+    """k * #monomials of degree <= d // k: CLP rank (k = 2), slice terms, p-fold sumsets (k = p)."""
+    return k * monomial_count(p, n, d // k)
+
+
 def verify_clp_bound(
     poly: ReducedPolynomial, *, point_limit: int = DEFAULT_POINT_LIMIT
 ) -> CLPBoundReport:
@@ -148,7 +157,7 @@ def verify_clp_bound(
     else:
         r = rank(clp_matrix(poly, point_limit=point_limit))
     d = poly.degree()
-    bound = 2 * monomial_count(poly.modulus, poly.dimension, d // 2)
+    bound = polynomial_method_bound(poly.modulus, poly.dimension, d, 2)
     return CLPBoundReport(degree=d, rank=r, bound=bound, ok=r <= bound)
 
 
@@ -202,7 +211,7 @@ def slice_decompose(
             buckets.items(), key=lambda kv: (kv[0][0], _basis_key(kv[0][1]))
         )
     ]
-    return SliceDecomposition(p, n, k, cap, tuple(terms))
+    return SliceDecomposition(p, n, k, f.degree(), tuple(terms))
 
 
 def sum_grid_values(

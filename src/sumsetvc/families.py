@@ -110,6 +110,17 @@ def binom_sum(n: int, d: int) -> int:
     return sum(math.comb(n, i) for i in range(min(d, n) + 1))
 
 
+def _check_canonical(values: tuple[int, ...], limit: int, what: str, space: str) -> None:
+    """Both containers' canonical-order check: each value above the last (none negative), below limit."""
+    prev = -1
+    for value in values:
+        if value <= prev:
+            raise ParameterError(f"{what}s must be strictly increasing (canonical order)")
+        if value >= limit:
+            raise ParameterError(f"{what} {value} out of range for {space}")
+        prev = value
+
+
 @dataclass(frozen=True)
 class SetFamily:
     """A family of subsets of [n], members held as ascending bitmasks."""
@@ -120,14 +131,7 @@ class SetFamily:
     def __post_init__(self):
         if self.ground_size < 1:
             raise ParameterError(f"ground_size must be >= 1, got {self.ground_size}")
-        limit = 1 << self.ground_size
-        prev = -1
-        for m in self.members:
-            if m <= prev:
-                raise ParameterError("members must be strictly increasing (canonical order)")
-            if not 0 <= m < limit:
-                raise ParameterError(f"member {m} out of range for ground size {self.ground_size}")
-            prev = m
+        _check_canonical(self.members, 1 << self.ground_size, "member", f"ground size {self.ground_size}")
 
     @classmethod
     def from_masks(cls, ground_size: int, masks: Iterable[int]) -> "SetFamily":
@@ -157,13 +161,7 @@ class PointSet:
         size = check_power(
             self.modulus, self.dimension, ENCODING_LIMIT, "exact-encoding size p**n", ParameterError
         )
-        prev = -1
-        for pt in self.points:
-            if pt <= prev:
-                raise ParameterError("points must be strictly increasing (canonical order)")
-            if not 0 <= pt < size:
-                raise ParameterError(f"point {pt} out of range for F_{self.modulus}^{self.dimension}")
-            prev = pt
+        _check_canonical(self.points, size, "point", f"F_{self.modulus}^{self.dimension}")
 
     @classmethod
     def from_points(cls, modulus: int, dimension: int, points: Iterable[int]) -> "PointSet":
@@ -374,6 +372,12 @@ def parse_digits(text: str, p: int) -> list[int]:
     return [int(ch) for ch in text]
 
 
+def parse_natural(text: str) -> int:
+    """text as an int, in ASCII digits only; int() would also take signs, '_', spaces, other digits."""
+    parse_digits(text, 10)  # raises on any other character; int() raises on empty text
+    return int(text)
+
+
 def parse_family_text(text: str) -> PointSet:
     """Parse the family text format; errors carry the offending line number."""
     header: tuple[int, int] | None = None
@@ -393,8 +397,8 @@ def parse_family_text(text: str) -> PointSet:
             ):
                 raise FamilyFormatError("expected header 'n=<int> p=<int>'", lineno)
             try:
-                n = int(parts[0][2:])
-                p = int(parts[1][2:])
+                n = parse_natural(parts[0][2:])
+                p = parse_natural(parts[1][2:])
             except ValueError:
                 raise FamilyFormatError("expected header 'n=<int> p=<int>'", lineno) from None
             if n < 1:

@@ -26,6 +26,7 @@ from .families import (
     check_modulus,
     check_power,
     decode_point,
+    parse_natural,
 )
 
 
@@ -232,8 +233,9 @@ class ReducedPolynomial:
         for item in items:
             try:
                 coeff_text, exp_text = item.split(":")
-                coeff = int(coeff_text)
-                expvec = tuple(int(e) for e in exp_text.split(","))
+                sign = -1 if coeff_text.startswith("-") else 1  # negative coefficients reduce mod p
+                coeff = sign * parse_natural(coeff_text.removeprefix("-"))
+                expvec = tuple(parse_natural(e) for e in exp_text.split(","))
             except ValueError:
                 raise ParameterError(f"malformed polynomial term {item!r}") from None
             terms[expvec] = terms.get(expvec, 0) + coeff

@@ -5,10 +5,10 @@ Every theorem is checked in instance form as a bound inequality lhs <= rhs,
 so no instance is vacuous. Each is stated once, in `_THEOREMS`, and each open
 question once, in `_QUESTIONS`, over a kernel object on one SetFamily
 (`_instance_kernels`, the reference) or on an int64 array of chars
-(`_char_kernels`, n <= CHAR_MAX_N). Scans report the tightest instance seen
-(largest lhs/rhs) and collect violations, which are build-failing events.
-Searches produce finite evidence tables only; they are labeled as such and
-never extrapolate.
+(`_char_kernels`, n <= CHAR_MAX_N). Both scan modes take their chunks from
+`_key_chunks`, one at a time: key arrays, or the instances a random scan draws.
+Scans report the tightest instance seen (largest lhs/rhs) and collect
+violations (build-failing); searches give labeled finite evidence, never extrapolated.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import repeat
@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .chars import char_members, int_degs, pairwise_chars, popcounts, vc_dims
-from .clp import DEFAULT_POINT_LIMIT, verify_clp_bound
+from .clp import DEFAULT_POINT_LIMIT, polynomial_method_bound, verify_clp_bound
 from .errors import ParameterError, ResourceLimitError
 from .families import (
     CUBE_MATERIALIZE_LIMIT,
@@ -43,7 +43,7 @@ from .families import (
     pairwise_family,
 )
 from .interpolation import int_deg
-from .polynomials import ReducedPolynomial, monomial_count, random_polynomial
+from .polynomials import ReducedPolynomial, random_polynomial
 from .sampling import SplitMix64, sample_distinct
 from .vc import vc_dim
 
@@ -172,12 +172,13 @@ def _char_kernels(n: int) -> SimpleNamespace:
 
 def _halved(k: SimpleNamespace, d):
     """The main theorem's bound on |A| when VC(A△A) = d: 2 * binom(d // 2)."""
+    # polynomial_method_bound(2, n, d, 2), as a kernel lookup the char arrays can index
     return 2 * k.binom(d // 2)
 
 
 def _psums(k: SimpleNamespace, family: SetFamily) -> tuple[int, int]:
     e = int_deg(k_fold_sumset(embed_01(family, k.p), k.p))
-    return len(family), k.p * monomial_count(k.p, k.n, e // k.p)
+    return len(family), polynomial_method_bound(k.p, k.n, e, k.p)
 
 
 def _clp_bound(k: SimpleNamespace, poly: ReducedPolynomial) -> tuple[int, int]:
@@ -276,11 +277,12 @@ def _poly_from_coeff_mask(coeff_mask: int, n: int) -> ReducedPolynomial:
     return ReducedPolynomial(2, n, {decode_point(m, 2, n): 1 for m in char_members(coeff_mask, n)})
 
 
-def _key_chunks(start: int, stop: int):
-    """The exhaustive keys start .. stop - 1, in order, as int64 arrays of at
-    most CHUNK keys: chars, or F_2 coefficient masks for clp_bound."""
+def _key_chunks(start: int, stop: int, build=partial(np.arange, dtype=np.int64)):
+    """build(low, high) for each range of at most CHUNK keys in start .. stop - 1, in
+    order, when the scan asks for it: by default an int64 array of the keys (chars, or
+    F_2 coefficient masks for clp_bound); a random scan draws the instances it indexes."""
     for low in range(start, stop, CHUNK):
-        yield np.arange(low, min(low + CHUNK, stop), dtype=np.int64)
+        yield build(low, min(low + CHUNK, stop))
 
 
 def _check(theorem: TheoremId, p: int | None, n: int, chunk) -> _ScanState:
@@ -319,13 +321,9 @@ def _scan(
     # a fork pool starts all max_workers processes at once: start no idle ones
     processes = min(workers, -(-total // CHUNK), os.cpu_count() or 1)
     state = _ScanState()
-    with ExitStack() as stack:
-        if processes > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=processes))
-            partials = pool.map(_check, repeat(theorem), repeat(p), repeat(parameters["n"]), chunks)
-        else:
-            partials = (_check(theorem, p, parameters["n"], chunk) for chunk in chunks)
-        for chunk_state in partials:
+    with ProcessPoolExecutor(max_workers=processes) if processes > 1 else nullcontext() as pool:
+        checks = map if pool is None else pool.map  # inline map holds no chunk once it is checked
+        for chunk_state in checks(_check, repeat(theorem), repeat(p), repeat(parameters["n"]), chunks):
             state.merge(chunk_state)
             if progress is not None:
                 progress(state.count, total)
@@ -382,18 +380,18 @@ def random_scan(
         p = 2 if p is None else p  # checked before p sizes the degree cycle: p=0 would divide by zero
         # each instance's matrix side is p**n, so n is bounded before the first draw
         check_power(p, n, DEFAULT_POINT_LIMIT, "matrix side p**n", ResourceLimitError)
-        dmax = (p - 1) * n
-        instances = [random_polynomial(p, n, i % (dmax + 1), gen) for i in range(samples)]
+        draw = lambda i: random_polynomial(p, n, i % ((p - 1) * n + 1), gen)
     else:
         # |A| is drawn up to 2**n, so n is bounded before the first draw
         universe = check_power(2, n, CUBE_MATERIALIZE_LIMIT, "family universe 2**n", ResourceLimitError)
-        instances = [
-            SetFamily(n, tuple(sample_distinct(universe, 1 + gen.below(universe), gen)))
-            for _ in range(samples)
-        ]
-    chunks = (instances[start : start + CHUNK] for start in range(0, samples, CHUNK))
+        draw = lambda i: SetFamily(n, tuple(sample_distinct(universe, 1 + gen.below(universe), gen)))
+    chunks = _key_chunks(0, samples, lambda low, high: [draw(i) for i in range(low, high)])
     parameters = {"n": n, "p": p, "mode": "random", "samples": samples}
     return _scan(theorem, parameters, seed, chunks, samples, workers, progress)
+
+
+# Each counterexample op once, with the family kind that is closed under it
+_COUNTEREXAMPLES = {"intersect": FamilyKind.lowweight, "union": FamilyKind.highweight}
 
 
 def counterexample_demo(op: str, n: int, d: int) -> CounterexampleReport:
@@ -402,14 +400,13 @@ def counterexample_demo(op: str, n: int, d: int) -> CounterexampleReport:
     star family keeps VC dimension d while the family itself has the full
     binomial-sum size.
     """
-    if op not in ("intersect", "union"):
-        raise ParameterError(f"counterexample op must be intersect or union, got {op!r}")
+    if not isinstance(op, str) or op not in _COUNTEREXAMPLES:
+        raise ParameterError(f"counterexample op must be {' or '.join(_COUNTEREXAMPLES)}, got {op!r}")
     if d < 2:
         raise ParameterError(f"the construction needs d >= 2, got {d}")
     if d > n:
         raise ParameterError(f"d = {d} exceeds n = {n}")
-    kind = FamilyKind.lowweight(d) if op == "intersect" else FamilyKind.highweight(d)
-    family = generate_family(n, kind)
+    family = generate_family(n, _COUNTEREXAMPLES[op](d))
     k = _instance_kernels(n)
     half_bound = _halved(k, d)
     return CounterexampleReport(

@@ -61,6 +61,22 @@ def test_unknown_flag_exits_2(capsys):
     capsys.readouterr()
 
 
+SUBCOMMANDS = ["gen-family", "vcdim", "intdeg", "family-op", "clp-rank", "slice-decompose",
+               "verify", "demo-counterexample", "search"]
+POLYNOMIAL_SOURCE = ["--p", "--n", "--d", "--seed", "--in-poly"]
+
+
+def test_every_subcommand_has_help_and_the_shared_options(capsys):
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    assert list(commands) == SUBCOMMANDS
+    for command in SUBCOMMANDS:
+        assert run_cli(command, "--help") == 0
+        listed = {word.strip(",[]") for word in capsys.readouterr().out.split()}
+        assert "--out" in listed, command
+        if command in ("clp-rank", "slice-decompose"):
+            assert set(POLYNOMIAL_SOURCE) <= listed, command
+
+
 def test_intdeg(tmp_path, capsys):
     path = write_family(tmp_path, "diag.txt", "n=2 p=2\n00\n11\n")
     assert run_cli("intdeg", "--in", path) == 0
@@ -432,6 +448,17 @@ def test_report_key_order_and_text_lines(tmp_path, capsys):
         pytest.param(b"", ["verify", "--theorem", "main", "--n", "3", "--p", "4"],
                      id="verify-p-not-prime"),
         pytest.param(b"\xff", ["verify", "--replay", "{}"], id="replay-not-utf8"),
+        # integers in ASCII digits only: int() would read each of these
+        pytest.param(b"n=0_3 p=2\n000\n", ["vcdim", "--in", "{}"], id="header-underscore"),
+        pytest.param("n=\u0663 p=2\n000\n".encode(), ["vcdim", "--in", "{}"],
+                     id="header-arabic-indic-digit"),
+        pytest.param(b"n=+3 p=+2\n000\n", ["vcdim", "--in", "{}"], id="header-plus-sign"),
+        pytest.param(b'{"p": 2, "n": 2, "terms": ["1_0:1,0"]}', ["clp-rank", "--in-poly", "{}"],
+                     id="poly-coefficient-underscore"),
+        pytest.param(b'{"p": 3, "n": 2, "terms": [" +2:0,1"]}', ["clp-rank", "--in-poly", "{}"],
+                     id="poly-coefficient-space-sign"),
+        pytest.param(b"n=3 p=2\n000\n", ["vcdim", "--in", "{}", "--witness", "+1, 2"],
+                     id="witness-sign-space"),
         # oversized powers: rejected by name, never built or printed
         pytest.param(b"", ["clp-rank", "--p", "3", "--n", "10000", "--d", "1"],
                      id="clp-rank-huge-n"),

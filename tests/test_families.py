@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,6 +74,12 @@ def test_set_family_canonicalization():
         SetFamily(2, (1, 1))
     with pytest.raises(ParameterError):
         SetFamily(2, (4,))
+    order = re.escape("members must be strictly increasing (canonical order)")
+    for members in ((1, 1), (2, 1), (-1,), (0, -3)):  # duplicate, descending, negative
+        with pytest.raises(ParameterError, match=f"^{order}$"):
+            SetFamily(2, members)
+    with pytest.raises(ParameterError, match="^member 4 out of range for ground size 2$"):
+        SetFamily(2, (0, 4))
 
 
 def test_point_set_validation():
@@ -79,6 +87,12 @@ def test_point_set_validation():
         PointSet(4, 2, (0,))  # composite modulus
     with pytest.raises(ParameterError):
         PointSet(3, 2, (9,))  # out of range
+    order = re.escape("points must be strictly increasing (canonical order)")
+    for points in ((4, 4), (4, 0), (-1,), (0, -3)):  # duplicate, descending, negative
+        with pytest.raises(ParameterError, match=f"^{order}$"):
+            PointSet(3, 2, points)
+    with pytest.raises(ParameterError, match=r"^point 9 out of range for F_3\^2$"):
+        PointSet(3, 2, (0, 9))
     with pytest.raises(ParameterError):
         PointSet(2, 50, (0,))  # encoding guard
     ps = PointSet.from_points(3, 2, [4, 0, 4])

@@ -134,6 +134,11 @@ def test_serialization_round_trip():
     assert ReducedPolynomial.from_term_list(3, 2, items) == poly
     with pytest.raises(ParameterError):
         ReducedPolynomial.from_term_list(3, 2, ["oops"])
+    # ASCII digits only, and one leading '-' on a coefficient, which reduces mod p
+    assert ReducedPolynomial.from_term_list(3, 2, ["-1:0,0"]) == ReducedPolynomial(3, 2, {(0, 0): 2})
+    for item in ("1_0:1,0", " +2:0,1", "+2:0,1", "--1:0,0", "1:+1,0", "1:1_0,0", "\u0663:0,0"):
+        with pytest.raises(ParameterError, match="malformed polynomial term"):
+            ReducedPolynomial.from_term_list(3, 2, [item])
 
 
 def test_random_polynomial_is_seed_deterministic():

@@ -171,11 +171,15 @@ def test_cli_choices_are_the_table_keys():
     commands = next(a for a in build_parser()._actions if a.dest == "command").choices
     choices = {
         (command, action.dest): action.choices
-        for command in ("verify", "search")
+        for command in commands
         for action in commands[command]._actions
     }
     assert choices["verify", "theorem"] == [t.value for t in verify_module._THEOREMS]
     assert choices["search", "question"] == list(verify_module._QUESTIONS)
+    assert list(choices["gen-family", "kind"]) == list(FamilyKind._NAMES)
+    pairwise = [op.replace("_", "-") for op in verify_module.PAIRWISE_OPS]
+    assert list(choices["family-op", "op"]) == pairwise + ["sumset", "embed"]
+    assert list(choices["demo-counterexample", "op"]) == list(verify_module._COUNTEREXAMPLES)
 
 
 def test_unknown_question_names_the_table():
@@ -372,9 +376,37 @@ def test_scans_reject_a_modulus_that_is_not_prime():
 
 def test_random_scan_worker_invariant(monkeypatch):
     seq = random_scan("sauer", 5, samples=64, seed=9)
+    clp = random_scan("clp_bound", 3, samples=30, seed=9)
     monkeypatch.setattr(verify_module, "CHUNK", 16)
     par = random_scan("sauer", 5, samples=64, seed=9, workers=2)
     assert seq == par
+    # several chunks, the last one short, drawn one at a time inline or up front by the pool
+    for workers in (1, 2):
+        assert random_scan("sauer", 5, samples=64, seed=9, workers=workers) == seq
+        assert random_scan("clp_bound", 3, samples=30, seed=9, workers=workers) == clp
+
+
+@pytest.mark.parametrize("theorem", ["sauer", "clp_bound"])
+def test_random_scan_draws_one_chunk_at_a_time(monkeypatch, theorem):
+    drawn = []
+    for name in ("sample_distinct", "random_polynomial"):
+        def counting(*args, _draw=getattr(verify_module, name)):
+            drawn.append(1)
+            return _draw(*args)
+
+        monkeypatch.setattr(verify_module, name, counting)
+    at_first_check = []
+    check = verify_module._check
+
+    def recording_check(*args):
+        at_first_check.append(len(drawn))
+        return check(*args)
+
+    monkeypatch.setattr(verify_module, "CHUNK", 4)
+    monkeypatch.setattr(verify_module, "_check", recording_check)
+    report = random_scan(theorem, 3, samples=10, seed=4)
+    assert report.instances_checked == len(drawn) == 10
+    assert at_first_check == [4, 8, 10]
 
 
 def test_pool_size_is_capped_by_chunks_and_cpus(monkeypatch):
