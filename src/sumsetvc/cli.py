@@ -1,12 +1,14 @@
 """Command-line front end.
 
-Every library operation is reachable from a subcommand (see
-OPERATION_COVERAGE) except three library-only ones, `is_shattered`,
-`evaluation_matrix` and `check_instance`. Reports are JSON by default with
-a fixed field order; content digests cover everything except the optional
-timing field, and timing is only recorded under --timings so that repeated
-runs with the same flags and inputs produce byte-identical output. Progress
-for long scans goes to standard error; standard output stays machine-clean.
+Every library operation is reachable from a subcommand except three
+library-only ones, `is_shattered`, `evaluation_matrix` and `check_instance`;
+the map from operation to subcommand lives in tests/test_cli.py, whose
+coverage test traces each subcommand's calls. Reports are JSON by default
+with a fixed field order; content digests cover everything except the
+optional timing field, and timing is only recorded under --timings so that
+repeated runs with the same flags and inputs produce byte-identical output.
+Progress for long scans goes to standard error; standard output stays
+machine-clean.
 
 Each subcommand handler returns (exit code, text), and `run` alone writes the
 text, to --out or standard output; only `vcdim --report` writes a second file.
@@ -72,39 +74,6 @@ from .verify import (
     random_scan,
     search_open_question,
 )
-
-# operation name -> subcommand that reaches it, or None for a library-only
-# operation (enumerated and traced by a coverage test)
-OPERATION_COVERAGE = {
-    "binom_sum": "demo-counterexample",
-    "pairwise_family": "family-op",
-    "k_fold_sumset": "family-op",
-    "embed_01": "family-op",
-    "generate_family": "gen-family",
-    "is_shattered": None,
-    "shattered_sets": "vcdim",
-    "vc_dim": "vcdim",
-    "monomial_count": "clp-rank",
-    "monomial_basis": "clp-rank",
-    "evaluation_matrix": None,
-    "rank": "clp-rank",
-    "deg_on_set": "intdeg",
-    "int_deg": "intdeg",
-    "find_unshattered_witness": "vcdim",
-    "represent_monomial": "vcdim",
-    "clp_matrix": "clp-rank",
-    "verify_clp_bound": "clp-rank",
-    "slice_decompose": "slice-decompose",
-    "sum_tensor": "slice-decompose",
-    "diagonal_slice_rank_bounds": "slice-decompose",
-    "check_instance": None,
-    "exhaustive_scan": "verify",
-    "random_scan": "verify",
-    "counterexample_demo": "demo-counterexample",
-    "search_open_question": "search",
-    "report_schema": "verify",
-}
-
 
 def report_schema() -> dict:
     """The versioned JSON schema every verification report validates against."""

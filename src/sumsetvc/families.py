@@ -299,7 +299,10 @@ def generate_family(n: int, kind: FamilyKind) -> SetFamily:
 
 
 def pairwise_family(a: SetFamily, b: SetFamily, op: str) -> SetFamily:
-    """The family {S op T : S in a, T in b} for op in sym_diff/intersect/union."""
+    """The family {S op T : S in a, T in b} for op in sym_diff/intersect/union.
+
+    More than CUBE_MATERIALIZE_LIMIT pairs are refused before any is built.
+    """
     if op not in _PAIRWISE_FN:
         raise ParameterError(f"unknown pairwise op {op!r}; expected one of {PAIRWISE_OPS}")
     if a.ground_size != b.ground_size:
@@ -308,6 +311,10 @@ def pairwise_family(a: SetFamily, b: SetFamily, op: str) -> SetFamily:
         )
     a.require_nonempty("pairwise_family")
     b.require_nonempty("pairwise_family")
+    if len(a) * len(b) > CUBE_MATERIALIZE_LIMIT:
+        raise ResourceLimitError(
+            f"pairs |A|*|B| = {len(a)}*{len(b)} exceeds the guard {CUBE_MATERIALIZE_LIMIT}"
+        )
     fn = _PAIRWISE_FN[op]
     return SetFamily.from_masks(a.ground_size, set(starmap(fn, product(a.members, b.members))))
 

@@ -14,9 +14,11 @@ H_X(d) - H_X(d-1); int_deg(X) is the largest d with dH_X(d) > 0. F_p^n is
 the complete intersection of the x_i^p - x_i, with socle degree
 s = (p-1)n, and linkage gives dH_X(d) + dH_Y(s - d) = dH_cube(d), where
 dH_cube(d) counts the reduced monomials of degree d (Davis-Geramita-
-Orecchia, Proc. AMS 93, 1985; Croot-Lev-Pach, Ann. Math. 185, 2017). So when
-X holds more than half the cube, int_deg(X) is read off the span of Y, and
-only Y's grades are built.
+Orecchia, Proc. AMS 93, 1985; Croot-Lev-Pach, Ann. Math. 185, 2017). The
+map a -> (p-1) - a on reduced exponents gives dH_cube(s - e) = dH_cube(e),
+so when X holds more than half the cube, int_deg(X) = s - e for the first
+grade e of Y's span whose rank step falls short of that grade's size: one
+pass over Y's grades, which stops there.
 
 Also here: the constructive side of the bound int_deg <= VC-dim for p=2.
 A monomial on an unshattered coordinate set S vanishes against the absent
@@ -40,7 +42,6 @@ from .polynomials import (
     MonomialBasis,
     ReducedPolynomial,
     _grade,
-    monomial_count,
     monomial_values,
     point_digits,
 )
@@ -139,33 +140,20 @@ def _graded_span(p: int, n: int, points: tuple[int, ...]):
 def _int_deg_points(p: int, n: int, points: tuple[int, ...]) -> int:
     """int_deg of the points, spanned on the smaller side of X and F_p^n \\ X.
 
-    On the complement Y the answer is the largest d with
-    dH_cube(d) > dH_Y(s - d) (see the module docstring); dH_Y is zero above
-    int_deg(Y), so Y is spanned only that far, and an empty Y gives s.
+    On the complement Y the answer is s - e for the first grade e with
+    dH_cube(e) > dH_Y(e), where dH_cube(e) = dH_cube(s - e) is the size of
+    grade e (see the module docstring). The span stops at that grade, so Y
+    is never spanned past the answer, and an empty Y gives s.
     """
-    size = p**n
-    if 2 * len(points) <= size:
-        for d, tracker in _graded_span(p, n, points):
-            if tracker.rank == len(points):
-                return d
+    if 2 * len(points) <= p**n:
+        return next(d for d, tracker in _graded_span(p, n, points) if tracker.rank == len(points))
     member = set(points)
-    rest = tuple(x for x in range(size) if x not in member)
-    steps = []  # steps[e] = dH_Y(e), the rank grade e adds on the complement Y
-    spanned = 0
-    for _, tracker in _graded_span(p, n, rest):
-        steps.append(tracker.rank - spanned)
+    rest = tuple(x for x in range(p**n) if x not in member)
+    spanned = 0  # H_Y of the previous grade
+    for e, tracker in _graded_span(p, n, rest):
+        if len(_grade(p, n, e)) > tracker.rank - spanned:
+            return (p - 1) * n - e
         spanned = tracker.rank
-        if spanned == len(rest):
-            break
-    s = (p - 1) * n
-    above = size  # monomial_count(p, n, d) for the current d
-    for e, step in enumerate(steps):
-        d = s - e
-        below = monomial_count(p, n, d - 1) if d else 0
-        if above - below > step:
-            return d
-        above = below
-    return s - len(steps)
 
 
 def int_deg(domain: PointSet) -> int:

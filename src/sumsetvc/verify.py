@@ -144,7 +144,10 @@ def _instance_kernels(n: int, p: int | None = None) -> SimpleNamespace:
     instance at a time: k.size, k.vc, k.int_deg (over F_2) and k.pair of
     families, k.binom(d) = sum of C(n, i) for i <= d, and k.least and
     k.every, the min and the short-circuit `and` of their arguments. It is
-    the reference, and the only path for n > CHAR_MAX_N, psums and clp_bound.
+    the reference, and it runs random scans at every n, exhaustive psums and
+    clp_bound scans, check_instance, open_question_constraint (so the
+    heuristic search) and counterexample_demo; only exhaustive scans of the
+    family theorems and the exhaustive search run on _char_kernels.
     Each kernel is looked up in this module when called."""
     return SimpleNamespace(
         n=n, p=p, size=len, least=min, every=all,

@@ -8,7 +8,7 @@ import jsonschema
 import pytest
 
 import sumsetvc
-from sumsetvc.cli import OPERATION_COVERAGE, build_parser, report_schema, run
+from sumsetvc.cli import build_parser, report_schema, run
 
 
 def run_cli(*argv):
@@ -144,6 +144,10 @@ def test_clp_rank_random_and_file(tmp_path, capsys):
     assert run_cli("clp-rank", "--in-poly", str(poly_path), "--format", "text") == 0
     assert "ok=True" in capsys.readouterr().out
 
+    # p**n = 32 points sit exactly at the guard (one more point exits 2)
+    assert run_cli("clp-rank", "--p", "2", "--n", "5", "--d", "2", "--point-guard", "32") == 0
+    capsys.readouterr()
+
 
 def test_slice_decompose_cli(tmp_path, capsys):
     assert run_cli("slice-decompose", "--p", "3", "--n", "2", "--k", "3", "--d", "2", "--seed", "5") == 0
@@ -156,6 +160,11 @@ def test_slice_decompose_cli(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["is_diagonal"] is True
     assert doc["lower_bound"] == 3
+
+    # 3**4 grid points and 3**2 tensor entries sit exactly at their guards
+    assert run_cli("slice-decompose", "--p", "3", "--n", "2", "--k", "2", "--d", "2", "--grid-guard", "81") == 0
+    assert run_cli("slice-decompose", "--tensor-family", fam, "--k", "2", "--entry-guard", "9") == 0
+    capsys.readouterr()
 
 
 def test_verify_exhaustive_report(tmp_path, capsys):
@@ -484,6 +493,16 @@ def test_report_key_order_and_text_lines(tmp_path, capsys):
                      id="search-huge-n"),
         pytest.param(b"", ["gen-family", "--n", "65", "--kind", "random", "--size", "1"],
                      id="gen-family-huge-random"),
+        pytest.param(b"", ["demo-counterexample", "--op", "intersect", "--n", "300", "--d", "2"],
+                     id="demo-huge-pairs"),
+        # each size guard set one below its instance (2**5, 3**4, 3**2); at the limit each exits 0
+        pytest.param(b"", ["clp-rank", "--p", "2", "--n", "5", "--d", "2", "--point-guard", "31"],
+                     id="clp-rank-point-guard"),
+        pytest.param(b"", ["slice-decompose", "--p", "3", "--n", "2", "--k", "2", "--d", "2",
+                           "--grid-guard", "80"], id="slice-decompose-grid-guard"),
+        pytest.param(b"n=3 p=2\n000\n110\n011\n",
+                     ["slice-decompose", "--k", "2", "--tensor-family", "{}", "--entry-guard", "8"],
+                     id="sum-tensor-entry-guard"),
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, content, argv):
@@ -504,6 +523,39 @@ def test_polynomial_file_keeps_term_errors(tmp_path, capsys):
 
 
 # --- coverage of library operations ------------------------------------------------
+
+
+# library operation name -> subcommand that reaches it, or None for a
+# library-only operation
+OPERATION_COVERAGE = {
+    "binom_sum": "demo-counterexample",
+    "pairwise_family": "family-op",
+    "k_fold_sumset": "family-op",
+    "embed_01": "family-op",
+    "generate_family": "gen-family",
+    "is_shattered": None,
+    "shattered_sets": "vcdim",
+    "vc_dim": "vcdim",
+    "monomial_count": "clp-rank",
+    "monomial_basis": "clp-rank",
+    "evaluation_matrix": None,
+    "rank": "clp-rank",
+    "deg_on_set": "intdeg",
+    "int_deg": "intdeg",
+    "find_unshattered_witness": "vcdim",
+    "represent_monomial": "vcdim",
+    "clp_matrix": "clp-rank",
+    "verify_clp_bound": "clp-rank",
+    "slice_decompose": "slice-decompose",
+    "sum_tensor": "slice-decompose",
+    "diagonal_slice_rank_bounds": "slice-decompose",
+    "check_instance": None,
+    "exhaustive_scan": "verify",
+    "random_scan": "verify",
+    "counterexample_demo": "demo-counterexample",
+    "search_open_question": "search",
+    "report_schema": "verify",
+}
 
 
 def coverage_invocations(tmp_path):
@@ -531,37 +583,6 @@ def coverage_invocations(tmp_path):
 
 
 def test_every_operation_is_reachable_from_a_subcommand(tmp_path, capsys):
-    expected_ops = {
-        "binom_sum",
-        "pairwise_family",
-        "k_fold_sumset",
-        "embed_01",
-        "generate_family",
-        "is_shattered",
-        "shattered_sets",
-        "vc_dim",
-        "monomial_count",
-        "monomial_basis",
-        "evaluation_matrix",
-        "rank",
-        "deg_on_set",
-        "int_deg",
-        "find_unshattered_witness",
-        "represent_monomial",
-        "clp_matrix",
-        "verify_clp_bound",
-        "slice_decompose",
-        "sum_tensor",
-        "diagonal_slice_rank_bounds",
-        "check_instance",
-        "exhaustive_scan",
-        "random_scan",
-        "counterexample_demo",
-        "search_open_question",
-        "report_schema",
-    }
-    assert set(OPERATION_COVERAGE) == expected_ops
-
     parser = build_parser()
     subcommands = set()
     for action in parser._actions:

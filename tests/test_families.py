@@ -174,6 +174,12 @@ def test_pairwise_errors():
         pairwise_family(fam, other, "sym_diff")
     with pytest.raises(ParameterError):
         pairwise_family(fam, fam, "xor")
+    # 8193**2 pairs pass CUBE_MATERIALIZE_LIMIT and are refused before any is built
+    big = SetFamily(14, tuple(range(8193)))
+    with pytest.raises(ResourceLimitError, match=r"pairs \|A\|\*\|B\| = 8193\*8193 exceeds the guard 67108864"):
+        pairwise_family(big, big, "union")
+    one = SetFamily(14, (0,))
+    assert pairwise_family(big, one, "union").members == big.members
 
 
 def test_sym_diff_contains_empty_set_and_idempotent_ops_contain_family():

@@ -354,13 +354,20 @@ def test_int_deg_through_the_complement_edges():
 def test_int_deg_through_the_complement_builds_only_its_grades(monkeypatch):
     # F_3^6 minus three points: the complement is spanned at grade 1, while
     # the set itself would need grades up to its answer 11
+    top = 2
+
     def bounded_grade(p, n, d):
-        assert d <= 2, f"grade {d} of F_{p}^{n} built"
+        assert d <= top, f"grade {d} of F_{p}^{n} built"
         return _grade(p, n, d)
 
     monkeypatch.setattr(interpolation, "_grade", bounded_grade)
     interpolation._int_deg_points.cache_clear()
     assert int_deg(PointSet(3, 6, complement(3, 6, (0, 1, 5)))) == 11
+    # F_3^3 minus five points on two axes: Y's grade 1 adds 2 < 3 to the rank,
+    # so the answer 6 - 1 is read there and Y's grade 2 is never built
+    top = 1
+    points = complement(3, 3, (0, 1, 2, 3, 6))
+    assert int_deg(PointSet(3, 3, points)) == naive_int_deg(points, 3, 3) == 5
 
 
 # --- find_unshattered_witness --------------------------------------------------------
