@@ -373,9 +373,7 @@ def _handle_demo(args) -> tuple[int, str]:
 
 
 def _handle_search(args) -> tuple[int, str]:
-    table = search_open_question(
-        args.question, args.n, args.d, args.mode, budget=args.budget, seed=args.seed
-    )
+    table = search_open_question(args.question, args.n, args.d, args.mode, budget=args.budget)
     rows = [asdict(row) for row in table.rows]
     if args.format == "csv":
         for row in rows:
@@ -486,9 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
     sch.add_argument("--question", choices=list(_QUESTIONS), required=True)
     sch.add_argument("--n", type=int, required=True)
     sch.add_argument("--d", type=int, required=True)
-    sch.add_argument("--mode", choices=["exhaustive", "heuristic"], default="exhaustive")
+    sch.add_argument("--mode", choices=["exhaustive", "exact"], default="exhaustive")
     sch.add_argument("--budget", type=int, default=5000)
-    sch.add_argument("--seed", type=int, default=0)
     sch.add_argument("--format", choices=["json", "csv"], default="json")
 
     return parser

@@ -110,8 +110,11 @@ def binom_sum(n: int, d: int) -> int:
     return sum(math.comb(n, i) for i in range(min(d, n) + 1))
 
 
-def _check_canonical(values: tuple[int, ...], limit: int, what: str, space: str) -> None:
-    """Both containers' canonical-order check: each value above the last (none negative), below limit."""
+def _check_canonical(values: tuple[int, ...], limit: int, what: str, space: str, build: str) -> None:
+    """Both containers' canonical-order check: a tuple (the kernels hash and
+    re-read it), each value above the last (none negative), below limit."""
+    if not isinstance(values, tuple):
+        raise ParameterError(f"{what}s must be a tuple, got {type(values).__name__}; use {build} for any iterable")
     prev = -1
     for value in values:
         if value <= prev:
@@ -131,7 +134,8 @@ class SetFamily:
     def __post_init__(self):
         if self.ground_size < 1:
             raise ParameterError(f"ground_size must be >= 1, got {self.ground_size}")
-        _check_canonical(self.members, 1 << self.ground_size, "member", f"ground size {self.ground_size}")
+        size = self.ground_size
+        _check_canonical(self.members, 1 << size, "member", f"ground size {size}", "SetFamily.from_masks")
 
     @classmethod
     def from_masks(cls, ground_size: int, masks: Iterable[int]) -> "SetFamily":
@@ -161,7 +165,7 @@ class PointSet:
         size = check_power(
             self.modulus, self.dimension, ENCODING_LIMIT, "exact-encoding size p**n", ParameterError
         )
-        _check_canonical(self.points, size, "point", f"F_{self.modulus}^{self.dimension}")
+        _check_canonical(self.points, size, "point", f"F_{self.modulus}^{self.dimension}", "PointSet.from_points")
 
     @classmethod
     def from_points(cls, modulus: int, dimension: int, points: Iterable[int]) -> "PointSet":

@@ -48,7 +48,7 @@ from .sampling import SplitMix64, sample_distinct
 from .vc import vc_dim
 
 EXHAUSTIVE_MAX_N = 4
-HEURISTIC_MAX_N = 8
+SEARCH_MAX_N = 8
 CHUNK = 1 << 12
 
 
@@ -146,7 +146,7 @@ def _instance_kernels(n: int, p: int | None = None) -> SimpleNamespace:
     k.every, the min and the short-circuit `and` of their arguments. It is
     the reference, and it runs random scans at every n, exhaustive psums and
     clp_bound scans, check_instance, open_question_constraint (so the
-    heuristic search) and counterexample_demo; only exhaustive scans of the
+    exact search) and counterexample_demo; only exhaustive scans of the
     family theorems and the exhaustive search run on _char_kernels.
     Each kernel is looked up in this module when called."""
     return SimpleNamespace(
@@ -448,52 +448,47 @@ def open_question_constraint(question: str, family: SetFamily, d: int) -> bool:
 
 
 class _BudgetSpent(Exception):
-    """The heuristic search has made its last allowed evaluation."""
+    """The exact search has made its last allowed evaluation."""
 
 
-def _heuristic_search(question: str, n: int, d: int, budget: int, seed: int):
-    universe = 1 << n
-    gen = SplitMix64(seed)
+def _exact_search(question: str, n: int, d: int, budget: int):
+    """Largest feasible family by Carraghan–Pardalos branch and bound.
+
+    Both constraints are hereditary (B ⊆ A gives B⋆B ⊆ A⋆A, and VC dimension
+    only grows with the family), so the feasible families form an
+    independence system: a candidate rejected at a node never returns below
+    it. Each node keeps the later masks that still extend it and prunes when
+    they cannot beat the best family. `best` starts as the greedy family of
+    ascending masks; a one-member family is feasible at every d >= 0, so the
+    first member costs no evaluation. One evaluation is one constraint test;
+    returns (best, evaluations), and best is the maximum when fewer than
+    `budget` evaluations were made.
+    """
     evals = 0
-    best: tuple[int, tuple[int, ...]] | None = None
+    best = (0,)
 
-    def feasible(members: set[int]) -> bool:
+    def feasible(members: tuple[int, ...]) -> bool:
         nonlocal evals
         if evals >= budget:
             raise _BudgetSpent
         evals += 1
-        return open_question_constraint(question, SetFamily(n, tuple(sorted(members))), d)
+        return open_question_constraint(question, SetFamily(n, members), d)
 
-    def consider(members: set[int]) -> None:
+    def grow(members: tuple[int, ...], candidates) -> None:
         nonlocal best
-        if best is None or len(members) > best[0]:
-            best = (len(members), tuple(sorted(members)))
+        for i, c in enumerate(candidates):
+            if len(members) + len(candidates) - i <= len(best):
+                return
+            child = members + (c,)
+            if len(child) > len(best):
+                best = child
+            grow(child, [x for x in candidates[i + 1 :] if feasible(child + (x,))])
 
     try:
-        while True:
-            current = set(sample_distinct(universe, 1 + gen.below(universe), gen))
-            # repair: drop random members until the constraint holds; one member always does
-            while not feasible(current):
-                ordered = sorted(current)
-                current.remove(ordered[gen.below(len(ordered))])
-            consider(current)
-            while True:
-                # greedy adds; every add has equal gain, take the smallest mask
-                outside = [m for m in range(universe) if m not in current]
-                add = next((inc for inc in outside if feasible(current | {inc})), None)
-                if add is not None:
-                    current.add(add)
-                    consider(current)
-                    continue
-                # plateau: try single swaps to open up a later add
-                swap = next(
-                    ((out, inc) for out in sorted(current) for inc in outside if feasible((current - {out}) | {inc})),
-                    None,
-                )
-                if swap is None:
-                    break
-                current.remove(swap[0])
-                current.add(swap[1])
+        for mask in range(1, 1 << n):
+            if feasible(best + (mask,)):
+                best += (mask,)
+        grow((), range(1 << n))
     except _BudgetSpent:
         pass
     return best, evals
@@ -506,14 +501,14 @@ def search_open_question(
     mode: str = "exhaustive",
     *,
     budget: int = 5000,
-    seed: int = 0,
 ) -> EvidenceTable:
     """Largest family found satisfying the question's constraint.
 
-    Exhaustive mode enumerates every nonempty family (n <= 4); heuristic mode
-    runs seeded steepest-ascent with restarts under an evaluation budget
-    (n <= 8). The winning certificate is re-verified against the constraint
-    before it is reported.
+    Exhaustive mode enumerates every nonempty family (n <= 4); exact mode
+    runs a deterministic branch and bound (n <= 8) under a budget of
+    constraint evaluations, and its best size is the maximum when
+    instances_examined < budget. The winning certificate is re-verified
+    against the constraint before it is reported.
     """
     stars = _stars(question)
     if d < 0:
@@ -522,30 +517,26 @@ def search_open_question(
     if mode == "exhaustive":
         if n > EXHAUSTIVE_MAX_N:
             raise ResourceLimitError(
-                f"exhaustive search over n = {n} enumerates 2**(2**{n}) families; use heuristic mode"
+                f"exhaustive search over n = {n} enumerates 2**(2**{n}) families; use exact mode"
             )
-        best: tuple[int, tuple[int, ...]] | None = None
+        best: tuple[int, ...] = ()
         # ascending chars: keep the first char of each new largest feasible size
         for chars in _key_chunks(1, 1 << (1 << n)):
             sizes = np.where(_feasible(stars, _char_kernels(n), chars, d), popcounts(chars), 0)
             first = int(sizes.argmax())
-            if sizes[first] and (best is None or sizes[first] > best[0]):
-                best = (int(sizes[first]), char_members(int(chars[first]), n))
+            if sizes[first] > len(best):
+                best = char_members(int(chars[first]), n)
         examined = (1 << (1 << n)) - 1
-    elif mode == "heuristic":
-        if n > HEURISTIC_MAX_N:
-            raise ResourceLimitError(f"heuristic search is limited to n <= {HEURISTIC_MAX_N}")
+    elif mode == "exact":
+        if n > SEARCH_MAX_N:
+            raise ResourceLimitError(f"exact search is limited to n <= {SEARCH_MAX_N}")
         if budget < 1:
             raise ParameterError(f"budget must be >= 1, got {budget}")
-        best, examined = _heuristic_search(question, n, d, budget, seed)
+        best, examined = _exact_search(question, n, d, budget)
     else:
-        raise ParameterError(f"unknown mode {mode!r}; expected exhaustive or heuristic")
+        raise ParameterError(f"unknown mode {mode!r}; expected exhaustive or exact")
 
-    if best is None:
-        raise ResourceLimitError(
-            "no feasible family found within budget; raise the budget or change the seed"
-        )
-    certificate = SetFamily(n, best[1])
+    certificate = SetFamily(n, best)
     if not open_question_constraint(question, certificate, d):
         raise AssertionError("certificate failed re-verification; this is a bug")
     row = EvidenceRow(
@@ -553,7 +544,7 @@ def search_open_question(
         n=n,
         d=d,
         mode=mode,
-        best_size=best[0],
+        best_size=len(best),
         binom_bound=binom_sum(n, d),
         half_bound=_halved(_instance_kernels(n), d),
         certificate=certificate.members,

@@ -6,10 +6,8 @@ from __future__ import annotations
 
 from itertools import product
 
-from sumsetvc.families import SetFamily, decode_point, encode_point
+from sumsetvc.families import decode_point, encode_point
 from sumsetvc.polynomials import monomial_basis
-from sumsetvc.sampling import SplitMix64, sample_distinct
-from sumsetvc.verify import open_question_constraint
 
 
 def naive_is_shattered(members, candidate: int) -> bool:
@@ -161,69 +159,3 @@ def brute_int_deg(points, p: int, n: int) -> int:
         if len(_restrictions_at_degree(points, p, n, d)) == p**m:
             return d
     raise AssertionError("every function is realizable at full degree")
-
-
-def reference_heuristic_search(question: str, n: int, d: int, budget: int, seed: int):
-    """The heuristic open-question search with its bookkeeping spelled out:
-    seeded restarts, random repair, greedy smallest-mask adds and single
-    swaps, with the budget tested before every evaluation. Returns
-    (best, evals), best = (size, members) or None."""
-    universe = 1 << n
-    gen = SplitMix64(seed)
-    evals = 0
-    best = None
-
-    def feasible(members):
-        nonlocal evals
-        evals += 1
-        return open_question_constraint(question, SetFamily(n, members), d)
-
-    def consider(members):
-        nonlocal best
-        if best is None or len(members) > best[0]:
-            best = (len(members), members)
-
-    while evals < budget:
-        size = 1 + gen.below(universe)
-        current = set(sample_distinct(universe, size, gen))
-        repaired = False
-        while current and evals < budget:
-            if feasible(tuple(sorted(current))):
-                repaired = True
-                break
-            ordered = sorted(current)
-            current.remove(ordered[gen.below(len(ordered))])
-        if not repaired:
-            continue
-        consider(tuple(sorted(current)))
-        improved = True
-        while improved and evals < budget:
-            improved = False
-            for cand in range(universe):
-                if cand in current:
-                    continue
-                trial = tuple(sorted(current | {cand}))
-                if evals >= budget:
-                    break
-                if feasible(trial):
-                    current.add(cand)
-                    consider(trial)
-                    improved = True
-                    break
-            if improved:
-                continue
-            for out in sorted(current):
-                for inc in range(universe):
-                    if inc in current:
-                        continue
-                    trial = tuple(sorted((current - {out}) | {inc}))
-                    if evals >= budget:
-                        break
-                    if feasible(trial):
-                        current.remove(out)
-                        current.add(inc)
-                        improved = True
-                        break
-                if improved or evals >= budget:
-                    break
-    return best, evals

@@ -58,6 +58,10 @@ def test_missing_file_exits_2(tmp_path):
 
 def test_unknown_flag_exits_2(capsys):
     assert run_cli("vcdim", "--bogus") == 2
+    # search is deterministic: no heuristic mode, no --seed
+    search = ["search", "--question", "q1", "--n", "3", "--d", "1"]
+    assert run_cli(*search, "--mode", "heuristic") == 2
+    assert run_cli(*search, "--seed", "1") == 2
     capsys.readouterr()
 
 
@@ -728,9 +732,13 @@ PINNED = [
      "4d6c8b69d484cd8fd0fbdfe774fade12a0cd88d51c40a0dfa724968b5e4fdc2a"),
     (["search", "--question", "q2", "--n", "3", "--d", "3", "--format", "csv"], 0,
      "5611a705f0810551d377dd2b48dd7fdc328fffe0d6119d6888eee0bd3c30e55c"),
-    (["search", "--question", "q1", "--n", "3", "--d", "1", "--mode", "heuristic",
-      "--budget", "50", "--seed", "1"], 0,
-     "c83a9959bc918b2e58f5ceb2597b4d91ab4acaed728794df7d09427ed70f7c42"),
+    # the exact search stops at the budget (it needs 75 evaluations), then finishes
+    (["search", "--question", "q1", "--n", "3", "--d", "1", "--mode", "exact",
+      "--budget", "50"], 0,
+     "5d9dd666e7159d46efbdb159c45f4ba241344cbffc1d3068f256c6c6377de7cb"),
+    (["search", "--question", "q1", "--n", "3", "--d", "1", "--mode", "exact",
+      "--budget", "5000"], 0,
+     "754f42ce8a20adf5094e503eb279d6cd32cba6f6d3c495f8a89fb8cce41f1d77"),
 ]
 
 

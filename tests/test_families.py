@@ -80,6 +80,10 @@ def test_set_family_canonicalization():
             SetFamily(2, members)
     with pytest.raises(ParameterError, match="^member 4 out of range for ground size 2$"):
         SetFamily(2, (0, 4))
+    # the kernels hash and re-read the members: a list or an iterator is refused
+    for members in ([0, 3], iter((0, 3))):
+        with pytest.raises(ParameterError, match="^members must be a tuple, got .*SetFamily.from_masks"):
+            SetFamily(2, members)
 
 
 def test_point_set_validation():
@@ -97,6 +101,9 @@ def test_point_set_validation():
         PointSet(2, 50, (0,))  # encoding guard
     ps = PointSet.from_points(3, 2, [4, 0, 4])
     assert ps.points == (0, 4)
+    for points in ([0, 3], iter((0, 3))):
+        with pytest.raises(ParameterError, match="^points must be a tuple, got .*PointSet.from_points"):
+            PointSet(2, 2, points)
 
 
 def test_repeated_modulus_check_is_a_cache_hit():

@@ -25,7 +25,7 @@ from sumsetvc import (
 )
 from sumsetvc.chars import CHAR_MAX_N, char_members
 
-from oracles import naive_pairwise, naive_vc_dim, reference_heuristic_search
+from oracles import naive_pairwise, naive_vc_dim
 
 CHAR_THEOREMS = ["sauer", "main", "intdeg_main", "intdeg_le_vc", "vc_monotone"]
 
@@ -549,26 +549,47 @@ def test_char_scans_and_search_run_without_numpy_bitwise_count(monkeypatch):
     assert {q: search_open_question(q, 2, 1).rows for q in ("q1", "q2")} == rows
 
 
-def test_search_heuristic_mode():
-    tab = search_open_question("q1", 5, 2, "heuristic", budget=400, seed=11)
+def test_search_exact_mode():
+    tab = search_open_question("q1", 5, 2, "exact", budget=400)
     row = tab.rows[0]
-    assert row.mode == "heuristic"
+    assert row.mode == "exact"
+    assert row.best_size == len(row.certificate)
     assert open_question_constraint("q1", SetFamily(5, row.certificate), 2)
-    again = search_open_question("q1", 5, 2, "heuristic", budget=400, seed=11)
-    assert again.rows == tab.rows
-    # exhaustive at the same parameters can only do better or equal
-    small = search_open_question("q1", 3, 2, "heuristic", budget=500, seed=1)
-    full = search_open_question("q1", 3, 2, "exhaustive")
-    assert small.rows[0].best_size <= full.rows[0].best_size
+    assert search_open_question("q1", 5, 2, "exact", budget=400).rows == tab.rows
+    assert row.instances_examined <= 400
+    # the first member costs no evaluation, so even the smallest budget reports one
+    for question, budget in product(("q1", "q2"), (1, 2, 3)):
+        row = search_open_question(question, 5, 2, "exact", budget=budget).rows[0]
+        assert row.best_size >= 1 and row.instances_examined <= budget, (question, budget)
 
 
 @pytest.mark.parametrize("question", ["q1", "q2"])
-def test_heuristic_search_spends_its_budget_as_the_reference_does(question):
-    for n, budget, seed in product(range(1, 6), (1, 2, 7, 50, 400), (0, 1, 5)):
+def test_finished_exact_search_finds_the_exhaustive_maximum(question):
+    for n in range(1, 5):
         for d in range(n + 1):
-            got = verify_module._heuristic_search(question, n, d, budget, seed)
-            assert got == reference_heuristic_search(question, n, d, budget, seed), (n, d, budget, seed)
-            assert got[1] == budget
+            exact = search_open_question(question, n, d, "exact", budget=10**5).rows[0]
+            full = search_open_question(question, n, d, "exhaustive").rows[0]
+            assert exact.instances_examined < 10**5, (n, d)
+            assert exact.best_size == full.best_size, (n, d)
+
+
+@pytest.mark.parametrize("question", ["q1", "q2"])
+def test_open_question_constraints_are_hereditary(question):
+    # the exact search prunes on this: a feasible family stays feasible when
+    # one member goes, and so, by induction, on every nonempty subfamily
+    rng = np.random.default_rng(5)
+    checked = 0
+    for n in range(1, 6):
+        for _ in range(40):
+            size = int(rng.integers(2, (1 << n) + 1))
+            members = tuple(sorted(rng.choice(1 << n, size=size, replace=False).tolist()))
+            for d in range(n + 1):
+                if open_question_constraint(question, SetFamily(n, members), d):
+                    for i in range(size):
+                        smaller = SetFamily(n, members[:i] + members[i + 1 :])
+                        assert open_question_constraint(question, smaller, d), (members, d, i)
+                    checked += d < n
+    assert checked >= 40
 
 
 def test_search_note_labels_finite_evidence():
@@ -582,9 +603,10 @@ def test_search_validation():
     with pytest.raises(ResourceLimitError):
         search_open_question("q1", 5, 2, "exhaustive")
     with pytest.raises(ResourceLimitError):
-        search_open_question("q1", 9, 2, "heuristic")
-    with pytest.raises(ParameterError):
-        search_open_question("q1", 3, 2, "annealing")
-    for mode in ("exhaustive", "heuristic"):
+        search_open_question("q1", 9, 2, "exact")
+    for mode in ("annealing", "heuristic"):
+        with pytest.raises(ParameterError, match="expected exhaustive or exact"):
+            search_open_question("q1", 3, 2, mode)
+    for mode in ("exhaustive", "exact"):
         with pytest.raises(ParameterError, match="n must be >= 1, got -1"):
             search_open_question("q1", -1, 1, mode)
