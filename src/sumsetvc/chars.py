@@ -24,8 +24,8 @@ tests compare it with:
     int_degs        interpolation.int_deg of the 0/1 embedding in F_2^n
 
 The masks a kernel needs depend on n only; they are built on first use.
-`_images` also takes an object array of Python ints for any n, which is how
-`clp` builds the F_2 sum matrix rows.
+`_images` also takes an object array of Python ints for any n; `clp` builds
+the F_2 coefficient rows of a sum matrix from `_coord_masks` the same way.
 """
 
 from __future__ import annotations

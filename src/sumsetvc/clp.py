@@ -12,10 +12,23 @@ below p, so each multinomial coefficient is a unit mod p, and distinct
 splits of distinct terms give distinct monomials. The decomposition is
 therefore read off term by term, with no merge pass.
 
-Over F_2 the rank is taken without a dense matrix: row x of M, read as an
-integer with bit y = M[x, y], is P's value integer translated by x in the
-bit space of `sumsetvc.chars`. The rows are bit for bit the packed rows of
-clp_matrix, so the packed GF(2) rank kernel returns the same rank.
+The rank is taken in coefficient space (Croot-Lev-Pach). Expanding each term,
+P(x + y) = sum over a, b of c_{a+b} (a+b)!/(a! b!) x^a y^b, over the pairs
+whose sum a + b is still reduced (every exponent below p); g! = prod_j g_j!
+is a unit mod p. So M = E D^-1 H D^-1 E^T, where E is the invertible
+evaluation matrix of the reduced monomials on F_p^n, D = diag(a!), and
+H[a, b] = h_{a+b} with h_g = c_g g!, and 0 where a + b leaves the reduced
+range. Hence rank M = rank H, and row a of H is zero unless a divides a term
+of P. Each field feeds the nonzero rows of H, monomials by descending degree:
+
+- p = 2: g! = 1 and H[a, b] = c_{a | b} for disjoint a, b. Row a, as an
+  integer with bit b = H[a, b] (bit-space layout of `sumsetvc.chars`), is
+  P's coefficient mask translated by a (its `sym_diff` image) ANDed with the
+  char of the masks disjoint from a. For j not in a, row a + {j} is row a
+  shifted down by 2**j with bit j of every mask then clear, so the rows are
+  built one coordinate at a time, as `_images` builds its rows; no dense
+  matrix is built.
+- p > 2: one cached table of the encoded sums a + b gathers H from h.
 
 The other direction is the diagonal lower bound: a k-fold tensor that
 vanishes off the equal-index diagonal has slice rank equal to its number
@@ -33,7 +46,7 @@ from itertools import accumulate, chain, product
 
 import numpy as np
 
-from .chars import _images, _subset_sums
+from .chars import _coord_masks
 from .errors import DimensionMismatchError, ParameterError, ResourceLimitError
 from .families import PointSet, add_points, check_power, encode_point
 from .linalg import FieldMatrix, rank, rank_gf2_packed
@@ -125,19 +138,33 @@ def clp_matrix(poly: ReducedPolynomial, *, point_limit: int = DEFAULT_POINT_LIMI
     return FieldMatrix(p, vals[_pairwise_sum_index(p, n)])
 
 
-def _gf2_sum_rows(poly: ReducedPolynomial, *, point_limit: int = DEFAULT_POINT_LIMIT) -> list[int]:
-    """Rows of M[x, y] = P(x + y) over F_2 as integers, bit y of row x = M[x, y].
+@lru_cache(maxsize=1)
+def _degree_order(p: int, n: int) -> np.ndarray:
+    """The encoded reduced monomials by descending degree: a stable argsort
+    of the digit sum, so encoded order within a degree."""
+    return np.argsort(-sum(_cube_digits(p, n)), kind="stable")
 
-    Equal to pack_gf2_rows(clp_matrix(poly)), under the same guards: bit S
-    is set for each term x^S of P, the subset sums make bit y equal P(y),
-    and row x is that integer translated by x.
-    """
-    n = poly.dimension
-    check_power(2, n, point_limit, "matrix side p**n", ResourceLimitError)
-    check_power(2, n, CUBE_MATERIALIZE_LIMIT, "cube points p**n", ResourceLimitError)
-    coeffs = sum(1 << encode_point(expvec, 2) for expvec in poly.terms)
-    values = np.array([_subset_sums(coeffs, n)], dtype=object)
-    return _images(values, n, "sym_diff")[:, 0].tolist()
+
+@lru_cache(maxsize=1)
+def _monomial_sum_table(p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The degree order and the int32 table of monomial sums in that order:
+    entry (i, j) is the encoded order[i] + order[j], or p**n where an
+    exponent reaches p. Adding the encoded integers carries exactly there,
+    and each carry lowers the digit sum by p - 1. One is cached, like the
+    sum index."""
+    size = p**n
+    digit_sums = sum(point_digits(np.arange(2 * size, dtype=np.int64), p, n + 1)).astype(np.int32)
+    order = _degree_order(p, n)
+    degrees = digit_sums[order]
+    table = order.astype(np.int32)[:, None] + order.astype(np.int32)[None, :]
+    table[degrees[:, None] + degrees[None, :] != digit_sums[table]] = size
+    table.setflags(write=False)
+    return order, table
+
+
+def _factorials(p: int, top: int) -> list[int]:
+    """e! mod p for e = 0 .. top; each is a unit while top < p."""
+    return list(accumulate(range(1, top + 1), lambda a, b: a * b % p, initial=1))
 
 
 def polynomial_method_bound(p: int, n: int, d: int, k: int) -> int:
@@ -150,14 +177,28 @@ def verify_clp_bound(
 ) -> CLPBoundReport:
     """Check rank(M) <= 2 * #monomials(degree <= floor(deg P / 2)).
 
-    Over F_2 the rank is taken of the bit-space rows, otherwise of clp_matrix.
+    rank M is taken as the rank of the coefficient matrix H of P(x + y)
+    (module docstring), under the guards of clp_matrix: its nonzero rows, by
+    descending degree of their monomial, as bit-space integers over F_2 and
+    as a gathered block through `rank` otherwise.
     """
-    if poly.modulus == 2:
-        r = rank_gf2_packed(_gf2_sum_rows(poly, point_limit=point_limit))
+    p, n, d = poly.modulus, poly.dimension, poly.degree()
+    size = check_power(p, n, point_limit, "matrix side p**n", ResourceLimitError)
+    check_power(p, n, CUBE_MATERIALIZE_LIMIT, "cube points p**n", ResourceLimitError)
+    if p == 2:
+        rows = np.array([sum(1 << encode_point(expvec, 2) for expvec in poly.terms)], dtype=object)
+        for j, low in enumerate(_coord_masks(n)):  # row a + {j}: row a shifted down by 2**j
+            rows = np.concatenate((rows, (rows >> (1 << j)) & low))
+        r = rank_gf2_packed(row for row in rows[_degree_order(2, n)].tolist() if row)
     else:
-        r = rank(clp_matrix(poly, point_limit=point_limit))
-    d = poly.degree()
-    bound = polynomial_method_bound(poly.modulus, poly.dimension, d, 2)
+        fact = _factorials(p, min(d, p - 1))
+        h = np.zeros(size + 1, dtype=np.int64)  # h[size] = 0 for the sums that leave the range
+        for expvec, coeff in poly.terms.items():
+            h[encode_point(expvec, p)] = coeff * math.prod(fact[e] for e in expvec) % p
+        table = _monomial_sum_table(p, n)[1]
+        live = np.flatnonzero((h != 0)[table].any(axis=1))
+        r = rank(FieldMatrix(p, h[table[np.ix_(live, live)]]))
+    bound = polynomial_method_bound(p, n, d, 2)
     return CLPBoundReport(degree=d, rank=r, bound=bound, ok=r <= bound)
 
 
@@ -191,9 +232,7 @@ def slice_decompose(
     p, n = f.modulus, f.dimension
     check_power(p, k * n, grid_limit, "sum grid points p**(k*n)", ResourceLimitError)
     cap = f.degree() // k
-    # e! mod p for every exponent e that occurs: e < p, so each is a unit
-    top_exp = min(f.degree(), p - 1)
-    fact = list(accumulate(range(1, top_exp + 1), lambda a, b: a * b % p, initial=1))
+    fact = _factorials(p, min(f.degree(), p - 1))  # every exponent that occurs
     inv_fact = [pow(x, -1, p) for x in fact]
     buckets: dict[tuple[int, tuple[int, ...]], dict[tuple[int, ...], int]] = {}
     for expvec, coeff in f.terms.items():

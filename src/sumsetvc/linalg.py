@@ -152,7 +152,7 @@ class SpanTrackerModP:
         """Row echelon of the vectors against the pivot rows: the new pivot
         rows, normalized, and their columns."""
         p, pivots = self.modulus, self._pivots
-        m = np.array(vectors, dtype=np.int64, ndmin=2)
+        m = np.array(vectors, dtype=np.int64, order="C", ndmin=2)
         if m.size and (m.min() < 0 or m.max() >= p):  # checked first: reducing is slower
             m %= p
         n_rows, n_cols = m.shape

@@ -548,7 +548,7 @@ OPERATION_COVERAGE = {
     "int_deg": "intdeg",
     "find_unshattered_witness": "vcdim",
     "represent_monomial": "vcdim",
-    "clp_matrix": "clp-rank",
+    "clp_matrix": None,
     "verify_clp_bound": "clp-rank",
     "slice_decompose": "slice-decompose",
     "sum_tensor": "slice-decompose",

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sumsetvc import (
     DimensionMismatchError,
@@ -27,8 +29,14 @@ from sumsetvc import (
     verify_clp_bound,
 )
 from sumsetvc.cli import run as run_cli
-from sumsetvc.clp import _gf2_sum_rows, _pairwise_sum_index, decomposition_values, sum_grid_values
-from sumsetvc.linalg import SpanTrackerModP, pack_gf2_rows
+from sumsetvc.clp import (
+    _monomial_sum_table,
+    _pairwise_sum_index,
+    decomposition_values,
+    sum_grid_values,
+)
+from sumsetvc.families import decode_point
+from sumsetvc.linalg import SpanTrackerModP
 from sumsetvc.sampling import SplitMix64, sample_distinct
 
 
@@ -97,24 +105,49 @@ def test_verify_clp_bound_small_corpora():
         assert verify_clp_bound(poly).ok
 
 
-def test_gf2_sum_rows_equal_packed_clp_matrix_for_every_small_polynomial():
-    for n in (1, 2, 3):
-        monomials = monomial_basis(2, n, n).monomials
-        for char in range(1 << len(monomials)):
-            poly = ReducedPolynomial(
-                2, n, {e: 1 for i, e in enumerate(monomials) if char >> i & 1}
-            )
-            assert _gf2_sum_rows(poly) == pack_gf2_rows(clp_matrix(poly)), poly
+def value_space_rank(poly):
+    return SpanTrackerModP(poly.modulus).add(clp_matrix(poly).array)
 
 
-def test_gf2_sum_rows_equal_packed_clp_matrix_on_seeded_polynomials():
-    gen = SplitMix64(909)
-    for n in range(4, 11):
-        polys = [ReducedPolynomial.zero(2, n), indicator_of_zero(2, n)]
-        polys += [random_polynomial(2, n, d, gen) for d in range(n + 1)]
-        assert polys[1].degree() == n
-        for poly in polys:
-            assert _gf2_sum_rows(poly) == pack_gf2_rows(clp_matrix(poly)), poly
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (2, 3), (3, 1)])
+def test_verify_clp_bound_rank_equals_value_space_for_every_small_polynomial(p, n):
+    monomials = monomial_basis(p, n, (p - 1) * n).monomials
+    for coeffs in np.ndindex(*(p,) * len(monomials)):
+        poly = ReducedPolynomial(p, n, {e: c for e, c in zip(monomials, coeffs) if c})
+        assert verify_clp_bound(poly).rank == value_space_rank(poly), poly
+
+
+@pytest.mark.parametrize(
+    "p,n",
+    [(2, n) for n in range(1, 11)] + [(3, n) for n in range(1, 6)] + [(5, 3), (7, 2), (11, 2)],
+)
+def test_verify_clp_bound_rank_equals_value_space_at_every_degree(p, n):
+    gen = SplitMix64(909 + 31 * p + n)
+    polys = [ReducedPolynomial.zero(p, n), indicator_of_zero(p, n)]
+    polys += [random_polynomial(p, n, d, gen) for d in range((p - 1) * n + 1)]
+    for poly in polys:
+        assert verify_clp_bound(poly).rank == value_space_rank(poly), poly
+
+
+@pytest.mark.parametrize("p,n", [(3, 3), (5, 2), (7, 1)])
+def test_monomial_sum_table_is_the_reduced_digitwise_sum(p, n):
+    order, table = _monomial_sum_table(p, n)
+    size = p**n
+    assert table.dtype == np.int32 and table.shape == (size, size)
+    assert sorted(order.tolist()) == list(range(size))
+    degrees = [sum(decode_point(int(a), p, n)) for a in order]
+    assert all(a >= b for a, b in zip(degrees, degrees[1:]))
+    for i, a in enumerate(order):
+        for j, b in enumerate(order):
+            digits = [x + y for x, y in zip(decode_point(int(a), p, n), decode_point(int(b), p, n))]
+            want = size if max(digits) >= p else sum(x * p**k for k, x in enumerate(digits))
+            assert table[i, j] == want
+
+
+def test_monomial_sum_table_keeps_one_table():
+    for p, n in ((3, 2), (5, 1)):
+        verify_clp_bound(indicator_of_zero(p, n))
+        assert _monomial_sum_table.cache_info().currsize == 1
 
 
 def test_verify_clp_bound_gf2_rank_matches_generic_elimination():
@@ -368,3 +401,35 @@ def test_decomposition_values_shape():
     vals = decomposition_values(dec)
     assert vals.shape == (4, 4)
     assert np.array_equal(vals, sum_grid_values(f, 2))
+
+
+@pytest.mark.parametrize("k,n,primes", [
+    (2, 1, [3, 5, 7, 251, 4093]),  # the primes up to the top one the grid guard admits
+    (3, 1, [2, 3, 5, 13, 251]),
+    (2, 2, [2, 3, 5, 7, 61]),
+])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_decomposition_values_is_the_pointwise_sum_of_its_terms(k, n, primes, data):
+    p = data.draw(st.sampled_from(primes))
+    terms = data.draw(st.dictionaries(
+        st.tuples(*(st.integers(0, min(p - 1, 6)) for _ in range(n))), st.integers(1, p - 1),
+        max_size=4,
+    ))
+    dec = slice_decompose(ReducedPolynomial(p, n, terms), k)
+    values = decomposition_values(dec)
+    size = p**n
+    if size**k <= 1000:
+        indices = list(np.ndindex(*(size,) * k))
+    else:
+        indices = data.draw(st.lists(st.tuples(*(st.integers(0, size - 1) for _ in range(k))), max_size=30))
+        indices.append((size - 1,) * k)
+    for index in indices:
+        points = [decode_point(i, p, n) for i in index]
+        expected = 0
+        for term in dec.terms:
+            axis_point = points[term.axis - 1]
+            rest = tuple(x for a, point in enumerate(points) if a != term.axis - 1 for x in point)
+            axis_value = math.prod(pow(x, e, p) for x, e in zip(axis_point, term.axis_monomial))
+            expected += axis_value * term.residual.evaluate(rest)
+        assert values[index] == expected % p, index

@@ -119,6 +119,20 @@ def test_span_tracker_modp_matches_matrix_rank():
                 assert tracker.contains(m.array[:, j])
 
 
+def test_span_tracker_modp_eliminates_a_fortran_block_in_c_order():
+    # a column-major block is copied to row-major, so row updates run contiguous
+    for p, n, d in ((3, 3, 4), (5, 2, 5)):
+        poly = random_polynomial(p, n, d, SplitMix64(p + d))
+        block = clp_matrix(poly).array
+        trackers = [SpanTrackerModP(p), SpanTrackerModP(p)]
+        counts = [t.add(m) for t, m in zip(trackers, (block, np.asfortranarray(block)))]
+        assert counts[0] == counts[1] > 0
+        assert trackers[0]._pivots.keys() == trackers[1]._pivots.keys()
+        for c, row in trackers[0]._pivots.items():
+            assert np.array_equal(row, trackers[1]._pivots[c])
+        assert SpanTrackerModP(p)._eliminate(np.asfortranarray(block))[0].flags.c_contiguous
+
+
 def test_modulus_boundary_for_exact_int64_products():
     largest = 3037000493  # the largest prime p with p * p < 2**63
     gen = SplitMix64(4)
