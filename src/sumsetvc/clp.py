@@ -12,6 +12,14 @@ below p, so each multinomial coefficient is a unit mod p, and distinct
 splits of distinct terms give distinct monomials. The decomposition is
 therefore read off term by term, with no merge pass.
 
+`reconstruction_matches` checks that identity by coefficients: both sides
+are reduced polynomials in k*n variables, and a reduced polynomial
+represents each function once, so equal coefficients means equal values at
+every point of F_p^(kn). It shares no coefficient logic with the
+decomposition: f(X^1 + ... + X^k) comes from `ReducedPolynomial.multiply`,
+not from the multinomial formula, and no axis is chosen, the terms are only
+put back in their blocks.
+
 The rank is taken in coefficient space (Croot-Lev-Pach). Expanding each term,
 P(x + y) = sum over a, b of c_{a+b} (a+b)!/(a! b!) x^a y^b, over the pairs
 whose sum a + b is still reduced (every exponent below p); g! = prod_j g_j!
@@ -56,7 +64,6 @@ from .polynomials import (
     _basis_key,
     _cube_digits,
     monomial_count,
-    monomial_values,
     point_digits,
     values_at,
     values_on_cube,
@@ -120,22 +127,13 @@ class DiagonalReport:
     nonzero_diagonal_count: int
 
 
-@lru_cache(maxsize=1)
-def _pairwise_sum_index(p: int, n: int) -> np.ndarray:
-    """size x size table of encoded coordinatewise sums, size = p**n; one is
-    cached, as a scan or CLI call uses one (p, n) and a table can take 128 MiB."""
-    idx = np.arange(p**n, dtype=np.int64)
-    table = add_points(idx[:, None], idx[None, :], p, n)
-    table.setflags(write=False)
-    return table
-
-
 def clp_matrix(poly: ReducedPolynomial, *, point_limit: int = DEFAULT_POINT_LIMIT) -> FieldMatrix:
     """The p^n x p^n matrix M[x, y] = P(x + y), rows/columns in encoded point order."""
     p, n = poly.modulus, poly.dimension
     check_power(p, n, point_limit, "matrix side p**n", ResourceLimitError)
     vals = values_on_cube(poly)
-    return FieldMatrix(p, vals[_pairwise_sum_index(p, n)])
+    idx = np.arange(p**n, dtype=np.int64)
+    return FieldMatrix(p, vals[add_points(idx[:, None], idx[None, :], p, n)])
 
 
 @lru_cache(maxsize=1)
@@ -150,8 +148,8 @@ def _monomial_sum_table(p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The degree order and the int32 table of monomial sums in that order:
     entry (i, j) is the encoded order[i] + order[j], or p**n where an
     exponent reaches p. Adding the encoded integers carries exactly there,
-    and each carry lowers the digit sum by p - 1. One is cached, like the
-    sum index."""
+    and each carry lowers the digit sum by p - 1. One is cached, as a scan
+    uses one (p, n)."""
     size = p**n
     digit_sums = sum(point_digits(np.arange(2 * size, dtype=np.int64), p, n + 1)).astype(np.int32)
     order = _degree_order(p, n)
@@ -253,49 +251,43 @@ def slice_decompose(
     return SliceDecomposition(p, n, k, f.degree(), tuple(terms))
 
 
-def sum_grid_values(
-    f: ReducedPolynomial, k: int, *, grid_limit: int = DEFAULT_GRID_LIMIT
-) -> np.ndarray:
-    """f evaluated at every coordinate sum: the dense (p^n)^k tensor grid."""
-    p, n = f.modulus, f.dimension
-    check_power(p, k * n, grid_limit, "sum grid points p**(k*n)", ResourceLimitError)
-    size = p**n
-    vals = values_on_cube(f)
-    sum_index = _pairwise_sum_index(p, n)
-    acc = np.arange(size, dtype=np.int64)
-    for _ in range(k - 1):
-        acc = sum_index[acc[..., None], np.arange(size, dtype=np.int64)]
-    return vals[acc]
-
-
-def decomposition_values(
-    dec: SliceDecomposition, *, grid_limit: int = DEFAULT_GRID_LIMIT
-) -> np.ndarray:
-    """Evaluate the decomposition sum on the full grid, for reconstruction checks."""
-    p, n, k = dec.modulus, dec.dimension, dec.arity
-    check_power(p, k * n, grid_limit, "sum grid points p**(k*n)", ResourceLimitError)
-    size = p**n
-    digits = _cube_digits(p, n)
-    total = np.zeros((size,) * k, dtype=np.int64)
-    for term in dec.terms:
-        axis_vals = monomial_values(digits, term.axis_monomial, p)
-        residual_vals = values_on_cube(term.residual)
-        residual_grid = residual_vals.reshape((size,) * (k - 1), order="F")
-        residual_grid = np.expand_dims(residual_grid, axis=term.axis - 1)
-        shape = [1] * k
-        shape[term.axis - 1] = size
-        total = (total + axis_vals.reshape(shape) * residual_grid) % p
-    return total
-
-
 def reconstruction_matches(
     dec: SliceDecomposition, f: ReducedPolynomial, *, grid_limit: int = DEFAULT_GRID_LIMIT
 ) -> bool:
-    """Pointwise equality of the decomposition with f at coordinate sums."""
-    return np.array_equal(
-        decomposition_values(dec, grid_limit=grid_limit),
-        sum_grid_values(f, dec.arity, grid_limit=grid_limit),
-    )
+    """Coefficient equality of the decomposition with f(X^1 + ... + X^k).
+
+    The terms are summed into one dict of k*n-variable monomials, each axis
+    monomial in block `axis` and the residual's blocks in the other axes in
+    ascending order. Then each term of f is expanded and subtracted: x_j^e
+    becomes (sum of x_j's k axis copies)^e, powers built by `multiply`, and
+    the coordinates' copies are disjoint, so their exponents just join. The
+    two match iff nothing is left; rings that differ never match.
+    """
+    p, n, k = dec.modulus, dec.dimension, dec.arity
+    check_power(p, k * n, grid_limit, "sum grid points p**(k*n)", ResourceLimitError)
+    if (f.modulus, f.dimension) != (p, n):
+        return False
+    diff: dict[tuple[int, ...], int] = {}
+
+    def add(mono: tuple[int, ...], c: int) -> None:
+        c = (diff.pop(mono, 0) + c) % p
+        if c:
+            diff[mono] = c
+
+    for term in dec.terms:
+        cut = (term.axis - 1) * n
+        for rest, c in term.residual.terms.items():
+            add(rest[:cut] + term.axis_monomial + rest[cut:], c)
+    copies = ReducedPolynomial(p, k, {tuple(int(i == a) for i in range(k)): 1 for a in range(k)})
+    powers = list(accumulate(
+        range(min(p - 1, f.degree())), lambda q, _: q.multiply(copies),
+        initial=ReducedPolynomial.constant(p, k, 1),
+    ))
+    for expvec, coeff in f.terms.items():
+        for parts in product(*(powers[e].terms.items() for e in expvec)):
+            blocks = zip(*(g for g, _ in parts))  # g: x_j's exponent on each axis
+            add(tuple(chain.from_iterable(blocks)), -coeff * math.prod(c for _, c in parts))
+    return not diff
 
 
 def sum_tensor(

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,12 +30,7 @@ from sumsetvc import (
     verify_clp_bound,
 )
 from sumsetvc.cli import run as run_cli
-from sumsetvc.clp import (
-    _monomial_sum_table,
-    _pairwise_sum_index,
-    decomposition_values,
-    sum_grid_values,
-)
+from sumsetvc.clp import SliceTerm, _monomial_sum_table
 from sumsetvc.families import decode_point
 from sumsetvc.linalg import SpanTrackerModP
 from sumsetvc.sampling import SplitMix64, sample_distinct
@@ -76,13 +72,6 @@ def test_clp_matrix_entry_definition():
     for x in range(9):
         for y in range(9):
             assert m.array[x, y] == poly.evaluate_encoded(add_points(x, y, 3, 2))
-
-
-def test_clp_matrix_keeps_one_sum_index_table():
-    # a table holds p**2n entries, so only the latest (p, n) stays cached
-    for p, n in ((3, 2), (2, 3)):
-        assert clp_matrix(indicator_of_zero(p, n)).rows == p**n
-        assert _pairwise_sum_index.cache_info().currsize == 1
 
 
 def test_clp_matrix_size_guard():
@@ -259,11 +248,31 @@ def test_slice_expansion_never_cancels(p):
          "f9c007522dd652b8b4745d9cb22780e5e1ec78ed2c159ba1b001f5515f5f4f83"),
         ("--p 7 --n 1 --k 4 --d 6 --seed 2",
          "b5a5a1022f7460f3041f5e9a1ad74c23e2e24e6886da4aaaf1664fad4919645c"),
+        ("--p 3 --n 5 --k 3 --d 4 --seed 1",  # 3**15 of the grid guard's 2**24
+         "7cd96bfdaae8a42a7a165737aaa0188f67c46f50232a8ec0ddb22d2f3c9304cc"),
     ],
 )
 def test_slice_decompose_cli_bytes_are_pinned(capsys, argv, digest):
     assert run_cli(["slice-decompose", *argv.split()]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_reconstruction_rejects_a_changed_decomposition_or_polynomial():
+    f = random_polynomial(3, 2, 3, SplitMix64(2))
+    dec = slice_decompose(f, 3)
+    first, *rest = dec.terms
+    last = dec.terms[-1]
+    (e, c), *_ = first.residual.terms.items()
+    bumped = replace(first, residual=ReducedPolynomial(3, 4, {**first.residual.terms, e: c + 1}))
+    moved = replace(last, axis=last.axis % 3 + 1)
+    for terms in ([bumped, *rest], rest, [*dec.terms[:-1], moved]):
+        assert reconstruction_matches(replace(dec, terms=tuple(terms)), f) is False
+    assert reconstruction_matches(dec, f.add(ReducedPolynomial.constant(3, 2, 1))) is False
+    assert reconstruction_matches(dec, random_polynomial(5, 2, 3, SplitMix64(2))) is False
+    # the check is exact: entries that cancel each other still match
+    extra = ReducedPolynomial.monomial(3, 4, (2, 1, 0, 1))
+    cancelling = (SliceTerm(2, (1, 1), extra), SliceTerm(2, (1, 1), extra.scale(-1)))
+    assert reconstruction_matches(replace(dec, terms=dec.terms + cancelling), f) is True
 
 
 def test_slice_matrix_specialization_certifies_rank():
@@ -284,15 +293,6 @@ def test_slice_decompose_guards():
 
     with pytest.raises(ParameterError):
         slice_decompose(f, 1)
-
-
-def test_sum_grid_matches_definition():
-    gen = SplitMix64(21)
-    f = random_polynomial(3, 1, 2, gen)
-    grid = sum_grid_values(f, 2)
-    for x in range(3):
-        for y in range(3):
-            assert grid[x, y] == f.evaluate(((x + y) % 3,))
 
 
 # --- sum_tensor --------------------------------------------------------------------
@@ -395,14 +395,6 @@ def test_tensor_digest_deterministic():
     assert other.content_digest() != t1.content_digest()
 
 
-def test_decomposition_values_shape():
-    f = ReducedPolynomial.monomial(2, 2, (1, 1))
-    dec = slice_decompose(f, 2)
-    vals = decomposition_values(dec)
-    assert vals.shape == (4, 4)
-    assert np.array_equal(vals, sum_grid_values(f, 2))
-
-
 @pytest.mark.parametrize("k,n,primes", [
     (2, 1, [3, 5, 7, 251, 4093]),  # the primes up to the top one the grid guard admits
     (3, 1, [2, 3, 5, 13, 251]),
@@ -416,8 +408,9 @@ def test_decomposition_values_is_the_pointwise_sum_of_its_terms(k, n, primes, da
         st.tuples(*(st.integers(0, min(p - 1, 6)) for _ in range(n))), st.integers(1, p - 1),
         max_size=4,
     ))
-    dec = slice_decompose(ReducedPolynomial(p, n, terms), k)
-    values = decomposition_values(dec)
+    f = ReducedPolynomial(p, n, terms)
+    dec = slice_decompose(f, k)
+    assert reconstruction_matches(dec, f)
     size = p**n
     if size**k <= 1000:
         indices = list(np.ndindex(*(size,) * k))
@@ -426,10 +419,10 @@ def test_decomposition_values_is_the_pointwise_sum_of_its_terms(k, n, primes, da
         indices.append((size - 1,) * k)
     for index in indices:
         points = [decode_point(i, p, n) for i in index]
-        expected = 0
+        total = 0
         for term in dec.terms:
             axis_point = points[term.axis - 1]
             rest = tuple(x for a, point in enumerate(points) if a != term.axis - 1 for x in point)
             axis_value = math.prod(pow(x, e, p) for x, e in zip(axis_point, term.axis_monomial))
-            expected += axis_value * term.residual.evaluate(rest)
-        assert values[index] == expected % p, index
+            total += axis_value * term.residual.evaluate(rest)
+        assert total % p == f.evaluate(tuple(sum(xs) % p for xs in zip(*points))), index
