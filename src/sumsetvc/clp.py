@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, product
@@ -261,7 +262,10 @@ def reconstruction_matches(
     ascending order. Then each term of f is expanded and subtracted: x_j^e
     becomes (sum of x_j's k axis copies)^e, powers built by `multiply`, and
     the coordinates' copies are disjoint, so their exponents just join. The
-    two match iff nothing is left; rings that differ never match.
+    terms go by ascending largest exponent, so the powers are built in
+    ascending order as they are first needed, and each is dropped once no
+    term still to expand uses it. The two match iff nothing is left; rings
+    that differ never match.
     """
     p, n, k = dec.modulus, dec.dimension, dec.arity
     check_power(p, k * n, grid_limit, "sum grid points p**(k*n)", ResourceLimitError)
@@ -279,14 +283,21 @@ def reconstruction_matches(
         for rest, c in term.residual.terms.items():
             add(rest[:cut] + term.axis_monomial + rest[cut:], c)
     copies = ReducedPolynomial(p, k, {tuple(int(i == a) for i in range(k)): 1 for a in range(k)})
-    powers = list(accumulate(
-        range(min(p - 1, f.degree())), lambda q, _: q.multiply(copies),
-        initial=ReducedPolynomial.constant(p, k, 1),
-    ))
-    for expvec, coeff in f.terms.items():
+    uses = Counter(e for expvec in f.terms for e in set(expvec))  # exponent -> terms left using it
+    power, top = ReducedPolynomial.constant(p, k, 1), 0  # the newest power builds the next
+    powers = {0: power}  # those a term left still uses
+    for expvec, coeff in sorted(f.terms.items(), key=lambda term: max(term[0])):
+        while top < max(expvec):
+            power, top = power.multiply(copies), top + 1
+            if uses[top]:
+                powers[top] = power
         for parts in product(*(powers[e].terms.items() for e in expvec)):
             blocks = zip(*(g for g, _ in parts))  # g: x_j's exponent on each axis
             add(tuple(chain.from_iterable(blocks)), -coeff * math.prod(c for _, c in parts))
+        for e in set(expvec):
+            uses[e] -= 1
+            if not uses[e]:
+                del powers[e]
     return not diff
 
 

@@ -5,18 +5,25 @@ batch and returns how many grew the span, `contains(vec)` tests membership,
 and the rank of a matrix is a fresh tracker's `add` over its rows.
 
 - p = 2: `SpanTrackerGF2`, bit-packed ints (bit j = entry j) reduced by XOR.
-- General p: `SpanTrackerModP` sweeps the columns of a 2-D int64 block of
-  row vectors. At a column with a stored pivot row it clears the rows not yet
+- General p: `SpanTrackerModP` sweeps the columns of a 2-D block of row
+  vectors. At a column with a stored pivot row it clears the rows not yet
   pivots; elsewhere the first of them nonzero there is stored, normalized (1
   at the column, 0 left of it), and clears the rows below it. Each update
   touches only rows and columns still to be read.
 
 Each update subtracts products of residues, each at most (p-1)^2, so after k
 updates an entry lies within +-(p + k*(p-1)^2), and the rows still to be read
-are reduced mod p only when one more update could leave int64. Blocks enter
-as residues and stored rows are residues, so this holds across blocks and for
-every modulus `check_modulus` admits (p*p < 2**63). Memory: at most one row
-per column, so vectors of length m take m x m int64 beyond the block added.
+are reduced mod p only when one more update could leave the tracker's word.
+Blocks enter as residues and stored rows are residues, so this holds across
+blocks. The word is the narrowest signed integer type that holds a residue
+plus `_MIN_UPDATES` (8) updates, and so the normalization product (p-1)^2:
+int8 for p <= 3, int16 for p <= 61, int32 for p <= 16381. Above that it is
+int64, which holds a residue plus one update (p + (p-1)^2 <= p*p) for every
+modulus `check_modulus` admits (p*p < 2**63).
+Each narrower word halves the bytes an update streams, but a word that fits
+fewer updates is reduced so often that its `%` costs more than that saves.
+Memory: at most one row per column, so vectors of length m take m x m words
+beyond the block added.
 """
 
 from __future__ import annotations
@@ -131,18 +138,22 @@ class SpanTrackerGF2:
         return len(pivots) - before
 
 
-_INT64_MAX = 2**63 - 1
+_WORDS = (np.int8, np.int16, np.int32)
+_MIN_UPDATES = 8  # a word fits this many updates between reductions (module docstring)
 
 
 class SpanTrackerModP:
     """Incrementally tracked span of equal-length vectors over F_p, pivots normalized."""
 
-    __slots__ = ("modulus", "_pivots")
+    __slots__ = ("modulus", "_pivots", "_word", "_word_max")
 
     def __init__(self, modulus: int):
         check_modulus(modulus)
         self.modulus = modulus
-        self._pivots: dict[int, np.ndarray] = {}  # pivot column -> row
+        self._pivots: dict[int, np.ndarray] = {}  # pivot column -> row, in the word
+        need = modulus + _MIN_UPDATES * (modulus - 1) ** 2
+        self._word = next((w for w in _WORDS if np.iinfo(w).max >= need), np.int64)
+        self._word_max = int(np.iinfo(self._word).max)
 
     @property
     def rank(self) -> int:
@@ -155,6 +166,7 @@ class SpanTrackerModP:
         m = np.array(vectors, dtype=np.int64, order="C", ndmin=2)
         if m.size and (m.min() < 0 or m.max() >= p):  # checked first: reducing is slower
             m %= p
+        m = m.astype(self._word, copy=False)
         n_rows, n_cols = m.shape
         step = (p - 1) ** 2  # the most one update moves an entry
         bound = p  # |entry| of the rows still to be read stays at most this
@@ -180,7 +192,7 @@ class SpanTrackerModP:
                 r += 1
                 col = col[1:]
             rest = m[r:, c:]
-            if bound > _INT64_MAX - step:
+            if bound > self._word_max - step:
                 rest %= p
                 bound = p
             rest -= np.multiply.outer(col, row[c:])

@@ -275,6 +275,18 @@ def test_reconstruction_rejects_a_changed_decomposition_or_polynomial():
     assert reconstruction_matches(replace(dec, terms=dec.terms + cancelling), f) is True
 
 
+def test_reconstruction_shares_a_power_across_terms_and_coordinates():
+    # (y_1 + ... + y_k)^3 serves three terms, on both coordinates, and the
+    # terms are not listed in the ascending order the powers are built in
+    f = ReducedPolynomial(5, 2, {(3, 3): 1, (3, 0): 2, (0, 1): 4, (1, 3): 3, (4, 0): 1})
+    for k in (2, 3):
+        dec = slice_decompose(f, k)
+        assert reconstruction_matches(dec, f) is True
+        for changed in ((3, 3), (0, 1), (4, 0)):
+            g = f.add(ReducedPolynomial.monomial(5, 2, changed))
+            assert reconstruction_matches(dec, g) is False
+
+
 def test_slice_matrix_specialization_certifies_rank():
     gen = SplitMix64(404)
     for _ in range(25):

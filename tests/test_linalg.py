@@ -160,7 +160,13 @@ def test_modulus_boundary_for_exact_int64_products():
         ReducedPolynomial.constant(too_large, 1, 1)
 
 
-@pytest.mark.parametrize("p", [3, 65537, 2147483647, 3037000493])
+# The largest prime of each word SpanTrackerModP picks and the next prime, so
+# both sides of every word boundary: the words' own (3/5, 61/67, 16381/16411)
+# and those of one update per reduction (11/13, 181/191, 46337/46349).
+WORD_BOUNDARY_PRIMES = (3, 5, 11, 13, 61, 67, 181, 191, 16381, 16411, 46337, 46349)
+
+
+@pytest.mark.parametrize("p", sorted({*WORD_BOUNDARY_PRIMES, 65537, 2147483647, 3037000493}))
 def test_rank_of_low_rank_products_matches_naive_rank(p):
     # u v with an 8..16 x k and a k x 8..16 factor has rank k (all but surely),
     # below the matrix side, so the trailing block takes k updates. Left
@@ -183,6 +189,70 @@ def test_rank_of_low_rank_products_matches_naive_rank(p):
         assert tracker.rank == expected
 
 
+@pytest.mark.parametrize(
+    "largest,next_prime,word,wider",
+    [(3, 5, np.int8, np.int16), (61, 67, np.int16, np.int32), (16381, 16411, np.int32, np.int64)],
+)
+def test_tracker_word_is_the_narrowest_that_fits_eight_updates(largest, next_prime, word, wider):
+    for p, expected in ((largest, word), (next_prime, wider)):
+        tracker = SpanTrackerModP(p)
+        assert tracker._word is expected
+        assert tracker._word_max == np.iinfo(expected).max
+    assert largest + 8 * (largest - 1) ** 2 <= np.iinfo(word).max
+    assert next_prime + 8 * (next_prime - 1) ** 2 > np.iinfo(word).max
+
+
+@pytest.mark.parametrize("p", WORD_BOUNDARY_PRIMES + (2, 7, 3037000493))
+def test_stored_pivot_rows_are_normalized_residues_in_the_word(p):
+    gen = SplitMix64(31 * p)
+    tracker = SpanTrackerModP(p)
+    for _ in range(4):  # later blocks are reduced against the rows stored before
+        block = [[gen.below(p) for _ in range(12)] for _ in range(1 + gen.below(5))]
+        tracker.add(block)
+    assert tracker.rank > 0
+    for c, row in tracker._pivots.items():
+        assert row.dtype == tracker._word and row.shape == (12,)
+        assert row[c] == 1 and not row[:c].any()
+        assert row.min() >= 0 and row.max() < p
+
+
+@pytest.mark.parametrize("p", WORD_BOUNDARY_PRIMES)
+def test_updates_that_each_move_an_entry_the_most_stay_exact(p):
+    # Pivot rows e_i + (p-1) e_k and a last row with p - 1 at every pivot: each
+    # of the k updates takes (p-1)^2, the most one update moves an entry, off
+    # the last row's final entry x, so it leaves a narrow word unless reduced
+    # in time. Over F_p that entry ends at x - k, as (p-1)^2 = 1.
+    k = 40
+    block = np.zeros((k + 1, k + 1), dtype=np.int64)
+    block[:k, :k] = np.eye(k, dtype=np.int64)
+    block[:k, k] = block[k, :k] = p - 1
+    for x, expected in ((k % p, k), ((k + 1) % p, k + 1)):
+        block[k, k] = x
+        assert rank(FieldMatrix(p, block)) == expected
+        tracker = SpanTrackerModP(p)
+        tracker.add(block[:k])
+        assert tracker.add(block[k:]) == expected - k  # reduced against the stored rows
+
+
+def test_full_rank_f3_blocks_match_naive_rank():
+    # L U with unit triangular factors is invertible. Its 96 columns give up to
+    # 96 updates per block, so the int8 word (31 updates between reductions at
+    # p = 3) is reduced several times within a block and across blocks.
+    p, side = 3, 96
+    gen = SplitMix64(96)
+    lower = np.array([[gen.below(p) if j < i else int(i == j) for j in range(side)] for i in range(side)])
+    upper = np.array([[gen.below(p) if j > i else int(i == j) for j in range(side)] for i in range(side)])
+    matrix = lower @ upper % p
+    assert SpanTrackerModP(p)._word is np.int8
+    assert naive_rank(matrix.tolist(), p) == side
+    assert rank(FieldMatrix(p, matrix)) == side
+    tracker = SpanTrackerModP(p)
+    for start in range(0, side, 40):
+        tracker.add(matrix[start : start + 40])
+        assert tracker.rank == min(start + 40, side)
+    assert all(tracker.contains(row) for row in matrix)
+
+
 @pytest.mark.parametrize("p,n", [(3, 4), (5, 3)])
 def test_clp_matrix_rank_matches_naive_rank(p, n):
     gen = SplitMix64(10 * p + n)
@@ -191,7 +261,7 @@ def test_clp_matrix_rank_matches_naive_rank(p, n):
         assert rank(m) == naive_rank(m.array.tolist(), p)
 
 
-ORACLE_PRIMES = (2, 3, 5, 7, 65537, 2147483647, 3037000493)
+ORACLE_PRIMES = tuple(sorted({2, 7, *WORD_BOUNDARY_PRIMES, 65537, 2147483647, 3037000493}))
 
 
 @settings(max_examples=30, deadline=None)
