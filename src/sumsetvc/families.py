@@ -202,17 +202,19 @@ def encode_point(digits: Iterable[int], p: int) -> int:
 def add_points(a, b, p: int, n: int):
     """Digitwise sum mod p of two encoded points.
 
-    Works on Python ints and elementwise, with broadcasting, on int64 arrays.
+    Works on Python ints and elementwise, with broadcasting, on int64 arrays:
+    a + b less p**(j+1) for each digit j whose two digits sum to p or more,
+    one carry test per digit.
     """
     if p == 2:
         return a ^ b
-    out = 0
-    weight = 1
+    out = a + b
+    carry = p
     for _ in range(n):
-        out += (a % p + b % p) % p * weight
-        a = a // p
-        b = b // p
-        weight *= p
+        a, da = divmod(a, p)
+        b, db = divmod(b, p)
+        out -= (da >= p - db) * carry
+        carry *= p
     return out
 
 
@@ -342,8 +344,19 @@ def k_fold_sumset(a: PointSet, k: int) -> PointSet:
             add_points(acc[i : i + rows, None], points, p, n).ravel()
             for i in range(0, len(acc), rows)
         )
-        acc = reduce(np.union1d, chunks, np.empty(0, dtype=np.int64))
+        acc = reduce(_sorted_union, chunks, np.empty(0, dtype=np.int64))
     return PointSet(p, n, tuple(acc.tolist()))
+
+
+def _sorted_union(seen: np.ndarray, chunk: np.ndarray) -> np.ndarray:
+    """The distinct values of both arrays, ascending: sorted, then each kept
+    where it differs from its left neighbour (np.union1d imports numpy.ma)."""
+    values = np.concatenate((seen, chunk))
+    values.sort()
+    keep = np.empty(len(values), dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 def embed_01(a: SetFamily, p: int) -> PointSet:
@@ -353,7 +366,10 @@ def embed_01(a: SetFamily, p: int) -> PointSet:
     n = a.ground_size
     if p == 2:
         return PointSet(2, n, a.members)
-    return PointSet.from_points(p, n, (encode_point(decode_point(m, 2, n), p) for m in a.members))
+    check_power(p, n, ENCODING_LIMIT, "exact-encoding size p**n", ParameterError)
+    bits = np.array(a.members, dtype=np.int64)[:, None] >> np.arange(n) & 1
+    # 0/1 digits keep the members' order: the highest differing bit decides both
+    return PointSet(p, n, tuple((bits @ p ** np.arange(n)).tolist()))
 
 
 def family_from_points(points: PointSet) -> SetFamily:

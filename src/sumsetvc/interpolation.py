@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, islice
+from itertools import compress
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from .polynomials import (
     MonomialBasis,
     ReducedPolynomial,
     _grade,
-    monomial_values,
     point_digits,
 )
 from .vc import vc_dim
@@ -72,26 +71,73 @@ def evaluation_matrix(domain: PointSet, basis: MonomialBasis) -> FieldMatrix:
         raise DimensionMismatchError(
             "domain and basis disagree on modulus or dimension"
         )
-    p, n = domain.modulus, domain.dimension
-    digits = point_digits(domain.points, p, n)
-    out = np.empty((len(domain.points), len(basis.monomials)), dtype=np.int64)
-    for j, expvec in enumerate(basis.monomials):
-        out[:, j] = monomial_values(digits, expvec, p)
-    return FieldMatrix(p, out)
+    table = _PowerTable(domain.modulus, domain.dimension, domain.points)
+    return FieldMatrix(domain.modulus, table.block(basis.monomials).T)
+
+
+class _PowerTable:
+    """Powers of the points' coordinates: powers[j, e] = x_j^e mod p at every point.
+
+    The table starts at e = 0 (all ones, so 0^0 = 1) and is extended one
+    exponent at a time, each row the one before times the digit column mod p,
+    up to the largest exponent a block has asked for; its storage doubles
+    when full. So a graded span holds min(d, p - 1) + 1 exponents after grade d.
+    """
+
+    __slots__ = ("modulus", "_digits", "_powers", "_top")
+
+    def __init__(self, p: int, n: int, points: tuple[int, ...]):
+        self.modulus = p
+        self._digits = np.array(point_digits(points, p, n), dtype=np.int64)
+        self._powers = np.ones((n, 1, len(points)), dtype=np.int64)
+        self._top = 0  # the largest exponent held
+
+    def block(self, expvecs) -> np.ndarray:
+        """Row m = monomial expvecs[m] at every point: the product over
+        coordinates j of powers[j, e_j], reduced mod p once at the end. The
+        product is below p**n, which the encoding guard of every PointSet
+        keeps at most 2**48, so it is exact in int64."""
+        n = len(self._digits)
+        exps = np.array(expvecs, dtype=np.int64).reshape(-1, n)
+        self._extend(int(exps.max(initial=0)))
+        out = self._powers[0, exps[:, 0]]
+        for j in range(1, n):
+            out *= self._powers[j, exps[:, j]]
+        out %= self.modulus
+        return out
+
+    def _extend(self, top: int) -> None:
+        while top >= self._powers.shape[1]:
+            self._powers = np.concatenate((self._powers, np.empty_like(self._powers)), axis=1)
+        powers = self._powers
+        for e in range(self._top + 1, top + 1):
+            np.remainder(powers[:, e - 1] * self._digits, self.modulus, out=powers[:, e])
+        self._top = max(self._top, top)
 
 
 def _grade_columns(p: int, n: int, points: tuple[int, ...]):
-    """A function d -> the columns of the degree-d monomials on the points.
+    """A function d -> the columns of the degree-d monomials on the points,
+    in canonical order and in batches of at most |X| = len(points).
 
-    For p = 2 a column is an integer with bit i set where the monomial is 1
+    For p = 2 a batch is a list of integers, bit i set where the monomial is 1
     at point i: an encoded point is the bitmask of its coordinates, so
     coords[j] (bit i = coordinate j of point i) ANDed over the monomial's
-    variables is the column, with no array work. Otherwise columns are
-    monomial_values int64 vectors. Either way they come in canonical order.
+    variables is the column, with no array work. Otherwise a batch is one
+    2-D int64 block, row m the m-th monomial, read from one _PowerTable of
+    the points.
     """
-    if p != 2:
-        digits = point_digits(points, p, n)
-        return lambda d: (monomial_values(digits, expvec, p) for expvec in _grade(p, n, d))
+    size = max(1, len(points))
+    build = _PowerTable(p, n, points).block if p != 2 else _bitmask_columns(n, points)
+
+    def columns(d: int):
+        grade = _grade(p, n, d)
+        return (build(grade[start : start + size]) for start in range(0, len(grade), size))
+
+    return columns
+
+
+def _bitmask_columns(n: int, points: tuple[int, ...]):
+    """The p = 2 column builder of _grade_columns: monomials -> their bitmask columns."""
     coords = [0] * n
     bit = 1
     for x in points:
@@ -104,14 +150,16 @@ def _grade_columns(p: int, n: int, points: tuple[int, ...]):
         bit <<= 1
     full = bit - 1
 
-    def columns(d: int):
-        for expvec in _grade(2, n, d):
+    def build(expvecs) -> list[int]:
+        cols = []
+        for expvec in expvecs:
             col = full
             for c in compress(coords, expvec):
                 col &= c
-            yield col
+            cols.append(col)
+        return cols
 
-    return columns
+    return build
 
 
 def _graded_span(p: int, n: int, points: tuple[int, ...]):
@@ -126,10 +174,10 @@ def _graded_span(p: int, n: int, points: tuple[int, ...]):
     tracker = SpanTrackerGF2() if p == 2 else SpanTrackerModP(p)
     full = len(points)
     for d in range((p - 1) * n + 1):
-        grade = columns(d)
+        batches = columns(d)
         while tracker.rank < full:
-            batch = list(islice(grade, full))
-            if not batch:
+            batch = next(batches, None)
+            if batch is None:
                 break
             tracker.add(batch)
         yield d, tracker

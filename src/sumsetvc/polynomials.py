@@ -135,7 +135,7 @@ class ReducedPolynomial:
                 raise ParameterError(
                     f"exponent vector {expvec} has length {len(expvec)}, expected {dimension}"
                 )
-            if any(e < 0 or e >= modulus for e in expvec):
+            if min(expvec) < 0 or max(expvec) >= modulus:
                 raise ParameterError(f"exponent vector {expvec} is not {modulus}-reduced")
             c = coeff % modulus
             if c:
@@ -278,14 +278,11 @@ def indicator_of_zero(p: int, n: int) -> ReducedPolynomial:
 
 
 def random_polynomial(p: int, n: int, d: int, gen) -> ReducedPolynomial:
-    """Uniform coefficients over the degree-<=d basis from a SplitMix64 stream."""
+    """Uniform coefficients over the degree-<=d basis from a SplitMix64 stream,
+    drawn in basis order in one batch."""
     basis = monomial_basis(p, n, d)
-    terms = {}
-    for expvec in basis.monomials:
-        c = gen.below(p)
-        if c:
-            terms[expvec] = c
-    return ReducedPolynomial(p, n, terms)
+    coeffs = gen.below_many(p, len(basis)).tolist()
+    return ReducedPolynomial(p, n, {e: c for e, c in zip(basis.monomials, coeffs) if c})
 
 
 def point_digits(points, p: int, n: int) -> tuple[np.ndarray, ...]:
@@ -308,7 +305,9 @@ def monomial_values(
     """coeff * x^expvec mod p at every point of the digit columns (0^0 = 1).
 
     Each power comes from square-and-multiply on its digit column, so every
-    product is of two residues (below p**2) and no power table is built.
+    product is of two residues (below p**2). It evaluates a polynomial's
+    terms one at a time; graded spans and evaluation matrices read whole
+    blocks of monomials from a power table in sumsetvc.interpolation instead.
     """
     out = coeff % p
     for e, base in zip(expvec, digits):

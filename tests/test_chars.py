@@ -3,6 +3,7 @@ nonempty family of 2^[n] for n <= 3 and on sampled families at n = 5."""
 
 import math
 import random
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -65,7 +66,7 @@ def test_cube_masks_are_the_superset_masks_of_each_grade():
         columns = _grade_columns(2, n, tuple(range(1 << n)))
         for d, grade in enumerate(grades):
             assert sorted(grade) == sorted(_subset_sums(1 << s, n) for s in range(1 << n) if s.bit_count() == d)
-            assert grade == tuple(columns(d))
+            assert grade == tuple(chain.from_iterable(columns(d)))
 
 
 @pytest.mark.parametrize("n", range(6, 10))

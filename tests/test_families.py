@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -33,6 +36,7 @@ from sumsetvc.families import (
     is_prime,
     parse_digits,
 )
+from sumsetvc.sampling import SplitMix64, sample_distinct
 
 from oracles import naive_k_fold, naive_pairwise
 
@@ -283,6 +287,47 @@ def test_add_points_broadcasts_over_arrays():
                 assert table[x, y] == encode_point(digits, p) == add_points(x, y, p, n)
 
 
+def test_add_points_on_arrays_is_the_int_path_elementwise():
+    # the broadcast shapes of k_fold_sumset (a chunk of k.A against A) and
+    # sum_tensor (a k-fold grid of sums against A)
+    gen = SplitMix64(44)
+    for p in (3, 5, 7):
+        for n in (1, 2, 3):
+            pts = np.array(sample_distinct(p**n, min(p**n, 9), gen), dtype=np.int64)
+            acc = add_points(pts[:, None], pts, p, n)
+            for arr, expect in (
+                (acc, [[add_points(int(x), int(y), p, n) for y in pts] for x in pts]),
+                (add_points(acc[..., None], pts, p, n),
+                 [[[add_points(int(v), int(z), p, n) for z in pts] for v in row] for row in acc]),
+            ):
+                assert arr.dtype == np.int64
+                assert arr.tolist() == expect
+
+
+@pytest.mark.parametrize("chunk", [families.SUMSET_CHUNK, 4], ids=["default", "4"])
+def test_k_fold_matches_enumeration_oracle_seeded(monkeypatch, chunk):
+    # a chunk of 4 pairs makes every step merge many sorted chunks
+    monkeypatch.setattr(families, "SUMSET_CHUNK", chunk)
+    gen = SplitMix64(45)
+    for p in (3, 5, 7):
+        for n in (1, 2, 3):
+            for k in (1, 2, 3, 4):
+                size = 1 + gen.below(min(p**n, 5))
+                pts = PointSet(p, n, tuple(sample_distinct(p**n, size, gen)))
+                assert k_fold_sumset(pts, k).points == naive_k_fold(pts.points, p, n, k)
+
+
+def test_k_fold_sumset_leaves_numpy_ma_unimported():
+    # np.union1d and np.unique import numpy.ma, 8 ms in a fresh scan process
+    src = os.path.dirname(os.path.dirname(families.__file__))
+    check = (
+        "import sys; from sumsetvc.verify import random_scan; "
+        "random_scan('psums', 3, p=3, samples=20, seed=1); assert 'numpy.ma' not in sys.modules"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", check], env=env, check=True)
+
+
 def test_k_fold_parameter_errors():
     pts = PointSet.from_points(2, 1, [0])
     with pytest.raises(ParameterError):
@@ -313,6 +358,16 @@ def test_embed_rejects_composite():
     fam = SetFamily.from_masks(2, [0])
     with pytest.raises(ParameterError):
         embed_01(fam, 4)
+
+
+def test_embed_is_the_per_member_digit_map():
+    gen = SplitMix64(46)
+    for p in (3, 5):
+        for n in range(1, 7):
+            for size in (1 << n, 1 + gen.below(1 << n)):
+                fam = SetFamily(n, tuple(sample_distinct(1 << n, size, gen)))
+                expect = [encode_point(decode_point(m, 2, n), p) for m in fam.members]
+                assert list(embed_01(fam, p).points) == expect  # in the members' order
 
 
 def test_embed_preserves_size():

@@ -1,5 +1,5 @@
 from collections import Counter
-from itertools import combinations, islice, product
+from itertools import chain, combinations, islice, product
 
 import numpy as np
 import pytest
@@ -244,7 +244,48 @@ def test_gf2_bitmask_columns_equal_packed_monomial_values():
             digits = point_digits(pts, 2, n)
             for d in range(n + 1):
                 values = np.array([monomial_values(digits, e, 2) for e in _grade(2, n, d)])
-                assert list(columns(d)) == pack_bits(values)
+                assert list(chain.from_iterable(columns(d))) == pack_bits(values)
+
+
+def assert_blocks_are_monomial_values(p, n, pts, grades):
+    columns = _grade_columns(p, n, pts)
+    digits = point_digits(pts, p, n)
+    for d in grades:
+        blocks = list(columns(d))
+        assert all(b.dtype == np.int64 and 1 <= len(b) <= len(pts) for b in blocks)
+        values = [monomial_values(digits, e, p) for e in _grade(p, n, d)]
+        assert np.array_equal(np.vstack(blocks), np.array(values)), d
+
+
+def test_grade_blocks_equal_stacked_monomial_values():
+    gen = SplitMix64(62)
+    for p, n in ((3, 3), (5, 2)):
+        grades = range((p - 1) * n + 1)
+        assert_blocks_are_monomial_values(p, n, tuple(range(p**n)), grades)
+        for size in (1, 2, 5, 12):  # batches of a few monomials, grades past |X| - 1
+            assert_blocks_are_monomial_values(p, n, tuple(sample_distinct(p**n, size, gen)), grades)
+
+
+@pytest.mark.parametrize("p", [61, 16381, 3037000493])
+def test_grade_blocks_at_large_primes(p):
+    # one variable: grade d is x^d, and the table grows to exponent |X| - 1
+    gen = SplitMix64(p)
+    pts = tuple(sorted({p - 1, p - 2, 0, 1, *sample_distinct(p, 36, gen)}))
+    assert_blocks_are_monomial_values(p, 1, pts, range(len(pts)))
+    if p**2 <= ENCODING_LIMIT:  # products of two coordinates' powers, near p**2
+        top = p**2 - 1
+        pts = tuple(sorted({top, top - 1, top - p, *sample_distinct(p**2, 20, gen)}))
+        assert_blocks_are_monomial_values(p, 2, pts, range(len(pts)))
+
+
+def test_int_deg_on_both_sides_of_the_half_cube_split():
+    gen = SplitMix64(63)
+    for p, n in ((2, 4), (3, 2), (3, 3), (5, 2), (7, 2)):
+        half = p**n // 2
+        for size in (half - 1, half, half + 1, half + 2):
+            for _ in range(3):
+                pts = tuple(sample_distinct(p**n, size, gen))
+                assert int_deg(PointSet(p, n, pts)) == naive_int_deg(pts, p, n)
 
 
 def test_graded_span_builds_only_the_grades_it_reaches(monkeypatch):
