@@ -26,6 +26,13 @@ tests compare it with:
 The masks a kernel needs depend on n only; they are built on first use.
 `_images` also takes an object array of Python ints for any n; `clp` builds
 the F_2 coefficient rows of a sum matrix from `_coord_masks` the same way.
+
+VC table. At n <= VC_TABLE_MAX_N = 4 the char space has at most 2**16
+members, and every pairwise family of a char lies in it too. So there
+`vc_dims` is a gather from `_vc_table(n)`: the shattering kernel `_vc_dims`
+run once over every char 0 .. 2**(2**n) - 1, in slices of 1024, and kept as
+a read-only int8 row (64 KiB at n = 4), built on the first call at that n.
+At n = 5 (2**32 chars) `vc_dims` runs `_vc_dims` on its array directly.
 """
 
 from __future__ import annotations
@@ -39,6 +46,9 @@ from .families import PAIRWISE_OPS, encode_point
 from .polynomials import _grade
 
 CHAR_MAX_N = 5
+# n <= VC_TABLE_MAX_N: at most 2**16 chars, so vc_dims reads one table of them all
+VC_TABLE_MAX_N = 4
+_TABLE_SLICE = 1 << 10
 
 
 def char_members(char: int, n: int) -> tuple[int, ...]:
@@ -113,8 +123,8 @@ def _subcubes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _images(np.array([(1 << (1 << n)) - 1], dtype=np.int64), n, "intersect"), sizes
 
 
-def vc_dims(chars: np.ndarray, n: int) -> np.ndarray:
-    """VC dimension of every family in the array: the largest shattered |Y|.
+def _vc_dims(chars: np.ndarray, n: int) -> np.ndarray:
+    """The shattering kernel: the largest shattered |Y| of every char.
 
     Row Y of the intersect images is the char of the trace {S ∩ Y : S in A},
     and Y is shattered iff that trace is all of 2^Y.
@@ -122,6 +132,35 @@ def vc_dims(chars: np.ndarray, n: int) -> np.ndarray:
     cubes, sizes = _subcubes(n)
     shattered = _images(chars, n, "intersect") == cubes
     return (shattered * sizes[:, None]).max(axis=0)
+
+
+@lru_cache(maxsize=None)
+def _vc_table(n: int) -> np.ndarray:
+    """Read-only int8 row: entry c is _vc_dims of char c, for the whole char
+    space 0 .. 2**(2**n) - 1 (n <= VC_TABLE_MAX_N). It is filled _TABLE_SLICE
+    chars at a time, and the images of a slice (128 KiB at n = 4) are smaller
+    than those of one scan chunk, so building the table raises no peak."""
+    table = np.empty(1 << (1 << n), dtype=np.int8)
+    for low in range(0, len(table), _TABLE_SLICE):
+        chars = np.arange(low, min(low + _TABLE_SLICE, len(table)), dtype=np.int64)
+        table[low : low + len(chars)] = _vc_dims(chars, n)
+    table.flags.writeable = False
+    return table
+
+
+def vc_dims(chars: np.ndarray, n: int) -> np.ndarray:
+    """VC dimension of every family in the array, as int64.
+
+    For n <= VC_TABLE_MAX_N it is a gather from _vc_table(n); at n = 5, the
+    direct kernel. Every char must lie in 0 .. 2**(2**n) - 1: an index outside
+    the table would wrap, or fail, instead of naming a family.
+    """
+    _positions(n)  # the range check
+    if len(chars) and (chars.min() < 0 or chars.max() >> (1 << n)):
+        raise ParameterError(f"chars at n = {n} need 0 <= char < 2**{1 << n}")
+    if n <= VC_TABLE_MAX_N:
+        return _vc_table(n)[chars].astype(np.int64)
+    return _vc_dims(chars, n)
 
 
 def pairwise_chars(a: np.ndarray, b: np.ndarray, n: int, op: str) -> np.ndarray:

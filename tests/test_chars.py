@@ -1,5 +1,6 @@
 """The batched char kernels against their per-instance twins, on every
-nonempty family of 2^[n] for n <= 3 and on sampled families at n = 5."""
+nonempty family of 2^[n] for n <= 3, on edge and sampled families at n = 4
+(the VC table) and on sampled families at n = 5."""
 
 import math
 import random
@@ -14,6 +15,8 @@ from sumsetvc.chars import (
     _cube_masks,
     _images,
     _subset_sums,
+    _vc_dims,
+    _vc_table,
     char_members,
     int_degs,
     pairwise_chars,
@@ -96,6 +99,54 @@ def test_vc_dims_matches_vc_dim(n):
     got = vc_dims(chars, n).tolist()
     assert got == [vc_dim(f) for f in fams]
     assert got == [naive_vc_dim(f.members, n) for f in fams]
+
+
+def test_vc_table_is_the_direct_kernel_on_the_whole_char_space_at_n4():
+    chars = np.arange(1 << 16, dtype=np.int64)
+    direct = np.concatenate([_vc_dims(chars[low : low + 1000], 4) for low in range(0, 1 << 16, 1000)])
+    assert _vc_table(4).tolist() == direct.tolist()
+    assert vc_dims(chars, 4).dtype == np.int64
+    assert vc_dims(chars, 4).tolist() == direct.tolist()
+
+
+def test_vc_table_matches_vc_dim_on_edge_and_sampled_chars_at_n4():
+    # the full family, the single members, the families of all sets of size
+    # <= d (Sauer's extremes) and seeded random chars
+    rng = random.Random(4)
+    sample = [1, (1 << 16) - 1] + [1 << m for m in range(16)]
+    sample += [bits(4, lambda m: m.bit_count() <= d) for d in range(5)]
+    sample += [rng.randrange(1, 1 << 16) for _ in range(300)]
+    chars = np.array(sample, dtype=np.int64)
+    want = [vc_dim(SetFamily(4, char_members(c, 4))) for c in sample]
+    assert vc_dims(chars, 4).tolist() == want
+    assert want[:2] == [0, 4] and want[2:18] == [0] * 16 and want[18:23] == list(range(5))
+
+
+def test_vc_table_is_read_only():
+    table = _vc_table(3)
+    with pytest.raises(ValueError):
+        table[5] = 3
+    assert table.nbytes == 1 << 8
+
+
+def test_vc_table_is_built_once_per_n_and_never_at_n5():
+    _vc_table.cache_clear()
+    chars = np.arange(1, 16, dtype=np.int64)
+    for _ in range(3):
+        vc_dims(chars, 2)
+        vc_dims(chars, 4)
+    assert _vc_table.cache_info()[:2] == (4, 2)  # hits, misses
+    vc_dims(chars, 5)
+    assert _vc_table.cache_info()[:2] == (4, 2)
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 5])
+def test_vc_dims_rejects_chars_outside_the_char_space(n):
+    top = 1 << (1 << n)
+    assert vc_dims(np.array([0, top - 1], dtype=np.int64), n).tolist() == [0, n]
+    for bad in (-1, top, -top, top | 1):
+        with pytest.raises(ParameterError, match=f"need 0 <= char < 2\\*\\*{1 << n}"):
+            vc_dims(np.array([1, bad], dtype=np.int64), n)
 
 
 @pytest.mark.parametrize("n", SMALL_N)

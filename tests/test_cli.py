@@ -706,6 +706,9 @@ PINNED = [
      "e0209a9a6fb1a92166e6495fdfed314f0be1c8dd301f76b20c13eaa478ed9001"),
     (["verify", "--theorem", "main", "--n", "3", "--no-progress", "--out", "out.txt"], 0,
      "b5516992d920d89e5f990610feaeb4c082c793744cb27f002359a4d93e547bae"),
+    # n = 4: the char kernels read the VC table
+    (["verify", "--theorem", "vc_monotone", "--n", "4", "--no-progress"], 0,
+     "0da0e5f1e9bc211cebd4b051001f4e1cef31fbd2edb68b4f41cfb0d420656eb1"),
     (["verify", "--theorem", "psums", "--p", "3", "--n", "2", "--mode", "random",
       "--samples", "5", "--seed", "2", "--no-progress"], 0,
      "3bdf1309779e607f026420bbe711485b2025c8bf5dfe0c7e0abfe3c15ff13805"),
@@ -732,6 +735,8 @@ PINNED = [
      "4d6c8b69d484cd8fd0fbdfe774fade12a0cd88d51c40a0dfa724968b5e4fdc2a"),
     (["search", "--question", "q2", "--n", "3", "--d", "3", "--format", "csv"], 0,
      "5611a705f0810551d377dd2b48dd7fdc328fffe0d6119d6888eee0bd3c30e55c"),
+    (["search", "--question", "q1", "--n", "4", "--d", "2"], 0,
+     "1fc8a8d0e834a7a0d2cc68a0092637d04fa1cf70f447c50fbfcdd82db7db9ea4"),
     # the exact search stops at the budget (it needs 75 evaluations), then finishes
     (["search", "--question", "q1", "--n", "3", "--d", "1", "--mode", "exact",
       "--budget", "50"], 0,
