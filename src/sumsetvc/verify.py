@@ -4,7 +4,7 @@ finite-evidence searches for the two open questions.
 Every theorem is checked in instance form as a bound inequality lhs <= rhs,
 so no instance is vacuous. Each is stated once, in `_THEOREMS`, and each open
 question once, in `_QUESTIONS`, over a kernel object on one SetFamily
-(`_instance_kernels`, the reference) or on an int64 array of chars
+(`_instance_kernels`, the reference) or on an array of chars
 (`_char_kernels`, n <= CHAR_MAX_N). Both scan modes take their chunks from
 `_key_chunks`, one at a time: key arrays, or the instances a random scan draws.
 Scans report the tightest instance seen (largest lhs/rhs) and collect
@@ -159,8 +159,12 @@ def _instance_kernels(n: int, p: int | None = None) -> SimpleNamespace:
 
 
 def _char_kernels(n: int) -> SimpleNamespace:
-    """The same kernels on an int64 array of chars, one family per entry
-    (n <= CHAR_MAX_N); every value is an array over the families."""
+    """The same kernels on an array of chars, one family per entry
+    (n <= CHAR_MAX_N); every value is an int64 array over the families.
+    Each `sumsetvc.chars` kernel checks the chars' range, works in the
+    narrowest unsigned word of 2**n bits, and at n <= TABLE_MAX_N reads vc
+    and int_deg from its tables over the whole char space, so the per-char
+    Python work left in a scan is `_ScanState.record`."""
     binoms = np.array([binom_sum(n, d) for d in range(n + 1)])
     return SimpleNamespace(
         size=lambda a: popcounts(a),
@@ -239,7 +243,11 @@ class _ScanState:
     """Accumulates count, violations and the tightest instance, in scan order.
 
     `describe` turns a recorded instance into its report dict; it runs only
-    for the instances the state keeps, violations and new extremes.
+    for the instances the state keeps, violations and new extremes. The kept
+    extreme's ratio key is cached as (num, den), so a record that neither
+    violates nor beats it only counts: with 0 < rhs its key is (lhs, rhs),
+    and it is no tighter iff lhs * den <= num * rhs. The start (-1, 0) fails
+    that test for every rhs > 0, so the first record takes the full path.
     """
 
     def __init__(self, describe=_instance_dict):
@@ -247,9 +255,12 @@ class _ScanState:
         self.count = 0
         self.violations: list[dict] = []
         self.extreme: tuple[tuple[int, int], dict] | None = None
+        self.num, self.den = -1, 0
 
     def record(self, instance, lhs: int, rhs: int) -> None:
         self.count += 1
+        if 0 < rhs and lhs <= rhs and lhs * self.den <= self.num * rhs:
+            return
         key = _ratio_key(lhs, rhs)
         tighter = self.extreme is None or _tighter(key, self.extreme[0])
         if lhs > rhs or tighter:
@@ -257,7 +268,11 @@ class _ScanState:
             if lhs > rhs:
                 self.violations.append({"instance": described, "lhs": lhs, "rhs": rhs})
             if tighter:
-                self.extreme = (key, _extreme_dict(described, lhs, rhs))
+                self._keep((key, _extreme_dict(described, lhs, rhs)))
+
+    def _keep(self, extreme: tuple[tuple[int, int], dict]) -> None:
+        self.extreme = extreme
+        self.num, self.den = extreme[0]
 
     def merge(self, other: "_ScanState") -> None:
         self.count += other.count
@@ -265,7 +280,7 @@ class _ScanState:
         if other.extreme is not None and (
             self.extreme is None or _tighter(other.extreme[0], self.extreme[0])
         ):
-            self.extreme = other.extreme
+            self._keep(other.extreme)
 
 
 def _family_from_char(char: int, n: int) -> SetFamily:

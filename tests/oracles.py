@@ -159,3 +159,53 @@ def brute_int_deg(points, p: int, n: int) -> int:
         if len(_restrictions_at_degree(points, p, n, d)) == p**m:
             return d
     raise AssertionError("every function is realizable at full degree")
+
+
+def naive_reed_muller(r: int, n: int) -> set[int]:
+    """Every codeword of RM(r, n) as a char: the evaluations on F_2^n of every
+    sum of distinct monomials x^S with |S| <= r, point by point (none for r < 0)."""
+    monomials = [s for s in range(1 << n) if s.bit_count() <= r]
+    words = set()
+    for chosen in product((0, 1), repeat=len(monomials)):
+        terms = [s for s, c in zip(monomials, chosen) if c]
+        words.add(sum(1 << m for m in range(1 << n) if sum(s & ~m == 0 for s in terms) % 2))
+    return words
+
+
+class OracleScanState:
+    """The scan accumulator as it was before its fast path: every record
+    builds the ratio key and compares it with the kept extreme's."""
+
+    def __init__(self, describe):
+        self.describe = describe
+        self.count = 0
+        self.violations = []
+        self.extreme = None
+
+    @staticmethod
+    def _key(lhs, rhs):
+        if rhs == 0:
+            return (1, 1) if lhs == 0 else (1 << 62, 1)
+        return (lhs, rhs)
+
+    @staticmethod
+    def _tighter(ka, kb):
+        return ka[0] * kb[1] > kb[0] * ka[1]
+
+    def record(self, instance, lhs, rhs):
+        self.count += 1
+        key = self._key(lhs, rhs)
+        tighter = self.extreme is None or self._tighter(key, self.extreme[0])
+        if lhs > rhs or tighter:
+            described = self.describe(instance)
+            if lhs > rhs:
+                self.violations.append({"instance": described, "lhs": lhs, "rhs": rhs})
+            if tighter:
+                extreme = {"instance": described, "lhs": lhs, "rhs": rhs, "ratio": key[0] / key[1]}
+                self.extreme = (key, extreme)
+
+    def merge(self, other):
+        self.count += other.count
+        self.violations.extend(other.violations)
+        if other.extreme is not None and (self.extreme is None or self._tighter(other.extreme[0], self.extreme[0])):
+            self.extreme = other.extreme

@@ -1,6 +1,7 @@
 """The batched char kernels against their per-instance twins, on every
-nonempty family of 2^[n] for n <= 3, on edge and sampled families at n = 4
-(the VC table) and on sampled families at n = 5."""
+nonempty family of 2^[n] for n <= 3, on the whole char space or edge and
+sampled families at n = 4 (the VC and int_deg tables) and on sampled
+families at n = 5; and the char words the kernels work in."""
 
 import math
 import random
@@ -14,6 +15,8 @@ from sumsetvc.chars import (
     _coord_masks,
     _cube_masks,
     _images,
+    _int_deg_table,
+    _int_degs,
     _subset_sums,
     _vc_dims,
     _vc_table,
@@ -25,7 +28,7 @@ from sumsetvc.chars import (
 )
 from sumsetvc.interpolation import _grade_columns
 
-from oracles import naive_vc_dim
+from oracles import naive_reed_muller, naive_vc_dim
 
 SMALL_N = (1, 2, 3)
 
@@ -142,11 +145,95 @@ def test_vc_table_is_built_once_per_n_and_never_at_n5():
 
 @pytest.mark.parametrize("n", [1, 3, 4, 5])
 def test_vc_dims_rejects_chars_outside_the_char_space(n):
+    # every kernel checks its chars before narrowing them to the char word,
+    # where an out-of-range char would wrap to another family
     top = 1 << (1 << n)
-    assert vc_dims(np.array([0, top - 1], dtype=np.int64), n).tolist() == [0, n]
+    edges = np.array([0, top - 1], dtype=np.int64)
+    assert vc_dims(edges, n).tolist() == [0, n]
+    assert int_degs(edges, n).tolist() == [0, n]
+    assert pairwise_chars(edges, edges, n, "union").tolist() == [0, top - 1]
+    kernels = (
+        lambda c: vc_dims(c, n),
+        lambda c: int_degs(c, n),
+        lambda c: pairwise_chars(c, np.ones_like(c), n, "sym_diff"),
+        lambda c: pairwise_chars(np.ones_like(c), c, n, "intersect"),
+    )
     for bad in (-1, top, -top, top | 1):
-        with pytest.raises(ParameterError, match=f"need 0 <= char < 2\\*\\*{1 << n}"):
-            vc_dims(np.array([1, bad], dtype=np.int64), n)
+        for kernel in kernels:
+            with pytest.raises(ParameterError, match=f"need 0 <= char < 2\\*\\*{1 << n}"):
+                kernel(np.array([1, bad], dtype=np.int64))
+
+
+def test_int_deg_table_is_the_elimination_kernel_on_the_whole_char_space_at_n4():
+    chars = np.arange(1 << 16, dtype=np.uint16)
+    direct = np.concatenate([_int_degs(chars[low : low + 4096], 4) for low in range(0, 1 << 16, 4096)])
+    assert _int_deg_table(4).tolist() == direct.tolist()
+    assert int_degs(chars.astype(np.int64), 4).tolist() == direct.tolist()
+
+
+@pytest.mark.parametrize("n", SMALL_N)
+def test_int_deg_table_matches_int_deg_on_every_char(n):
+    chars, fams = families(n)
+    table = _int_deg_table(n)
+    assert len(table) == 1 << (1 << n) and table[0] == 0
+    assert table[1:].tolist() == [int_deg(embed_01(f, 2)) for f in fams]
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_int_deg_table_edges(n):
+    # the full family needs degree n; one member, or none, needs only constants;
+    # the Hamming ball of radius d about the empty set needs exactly degree d
+    table = _int_deg_table(n)
+    assert table[(1 << (1 << n)) - 1] == n
+    assert table[0] == 0 and [table[1 << m] for m in range(1 << n)] == [0] * (1 << n)
+    balls = [bits(n, lambda m: m.bit_count() <= d) for d in range(n + 1)]
+    assert [table[b] for b in balls] == list(range(n + 1))
+    assert [int_deg(embed_01(SetFamily(n, char_members(b, n)), 2)) for b in balls] == list(range(n + 1))
+
+
+@pytest.mark.parametrize("n", SMALL_N)
+def test_int_deg_exceeds_d_iff_the_family_holds_a_dual_reed_muller_codeword(n):
+    # RM(d, n)'s dual is RM(n - d - 1, n): brute force over every char and d
+    for d in range(n + 1):
+        codewords = naive_reed_muller(n - d - 1, n) - {0}
+        for char in range(1, 1 << (1 << n)):
+            holds = any(c & ~char == 0 for c in codewords)
+            assert (int_deg(embed_01(SetFamily(n, char_members(char, n)), 2)) > d) == holds, (d, char)
+            assert (_int_deg_table(n)[char] > d) == holds, (d, char)
+
+
+def test_int_deg_table_is_read_only_int8_and_built_once_per_n_never_at_n5():
+    table = _int_deg_table(3)
+    assert table.dtype == np.int8 and table.nbytes == 1 << 8
+    with pytest.raises(ValueError):
+        table[5] = 3
+    _int_deg_table.cache_clear()
+    chars = np.arange(1, 16, dtype=np.int64)
+    for _ in range(3):
+        int_degs(chars, 2)
+        int_degs(chars, 4)
+    assert _int_deg_table.cache_info()[:2] == (4, 2)  # hits, misses
+    assert int_degs(chars, 5).dtype == np.int64
+    assert _int_deg_table.cache_info()[:2] == (4, 2)
+
+
+@pytest.mark.parametrize("n", [2, 4, 5])
+def test_kernels_answer_alike_on_every_integer_word(n):
+    # the same chars as uint16 (where they fit), uint32 and int64 give the
+    # same int64 answers
+    rng = random.Random(n)
+    top = 1 << (1 << n)
+    sample = [0, 1, top - 1, top >> 1] + [rng.randrange(top) for _ in range(200)]
+    words = [np.uint32, np.int64] + ([np.uint16] if n <= 4 else [])
+    runs = []
+    for word in words:
+        a, b = np.array(sample, dtype=word), np.array(sample[::-1], dtype=word)
+        answers = [popcounts(a), vc_dims(a, n), int_degs(a, n)]
+        answers += [pairwise_chars(a, b, n, op) for op in ("sym_diff", "intersect", "union")]
+        assert all(x.dtype == np.int64 for x in answers), word
+        runs.append([x.tolist() for x in answers])
+    assert all(run == runs[0] for run in runs)
+    assert runs[0][0] == [c.bit_count() for c in sample]
 
 
 @pytest.mark.parametrize("n", SMALL_N)

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 from dataclasses import asdict
 from itertools import product
 
@@ -25,7 +26,7 @@ from sumsetvc import (
 )
 from sumsetvc.chars import CHAR_MAX_N, char_members
 
-from oracles import naive_pairwise, naive_vc_dim
+from oracles import OracleScanState, naive_pairwise, naive_vc_dim
 
 CHAR_THEOREMS = ["sauer", "main", "intdeg_main", "intdeg_le_vc", "vc_monotone"]
 
@@ -299,6 +300,69 @@ def test_scan_builds_instance_dicts_only_for_kept_instances(monkeypatch):
 
 
 # --- random_scan -------------------------------------------------------------------
+
+
+def record_stream(seed, length):
+    """A seeded (lhs, rhs) stream over small values, so ties are common, with
+    rhs = 0 (lhs = 0 and lhs > 0), violations and runs of one ratio."""
+    rng = random.Random(seed)
+    stream = []
+    while len(stream) < length:
+        kind = rng.randrange(6)
+        if kind == 0:
+            stream.append((rng.choice((0, 0, 1, 5)), 0))
+        elif kind == 1:
+            rhs = rng.randrange(1, 9)
+            stream.append((rhs + rng.randrange(1, 4), rhs))  # a violation
+        elif kind == 2:
+            k, rhs = rng.randrange(1, 4), rng.randrange(1, 5)
+            stream += [(k * lhs, k * rhs) for lhs in [rng.randrange(rhs + 1)] * 3]  # one ratio, three keys
+        else:
+            rhs = rng.randrange(1, 9)
+            stream.append((rng.randrange(rhs + 1), rhs))
+    return stream[:length]
+
+
+def scan_state_fields(state):
+    return state.count, state.violations, state.extreme[1] if state.extreme else None
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_record_keeps_what_the_full_comparison_kept(seed):
+    stream = record_stream(seed, 400)
+    new, old = verify_module._ScanState(lambda i: {"i": i}), OracleScanState(lambda i: {"i": i})
+    for i, (lhs, rhs) in enumerate(stream):
+        new.record(i, lhs, rhs)
+        old.record(i, lhs, rhs)
+        assert scan_state_fields(new) == scan_state_fields(old), i
+    # merging the stream split into chunks keeps the same, for both accumulators
+    rng = random.Random(-seed)
+    cuts = sorted(rng.sample(range(1, len(stream)), 5))
+    merged_new, merged_old = verify_module._ScanState(), OracleScanState(None)
+    for low, high in zip([0] + cuts, cuts + [len(stream)]):
+        part_new, part_old = verify_module._ScanState(lambda i: {"i": i}), OracleScanState(lambda i: {"i": i})
+        for i in range(low, high):
+            part_new.record(i, *stream[i])
+            part_old.record(i, *stream[i])
+        merged_new.merge(part_new)
+        merged_old.merge(part_old)
+        # a merged state records on from its merged extreme
+        assert (merged_new.num, merged_new.den) == merged_new.extreme[0]
+    assert scan_state_fields(merged_new) == scan_state_fields(merged_old) == scan_state_fields(old)
+
+
+def test_record_takes_the_full_path_for_the_first_instance_and_for_rhs_zero():
+    described = []
+    state = verify_module._ScanState(lambda i: described.append(i) or {"i": i})
+    for i, (lhs, rhs) in enumerate([(0, 3), (0, 5), (0, 0), (0, 0), (2, 0), (7, 1)]):
+        state.record(i, lhs, rhs)
+    # 0/3 is kept first; 0/5 ties it; 0/0 reads as ratio 1 and 2/0 as 2**62,
+    # both tighter and the latter a violation, described once; 7/1 violates
+    # without beating 2**62
+    assert described == [0, 2, 4, 5]
+    assert state.count == 6
+    assert state.extreme[1] == {"instance": {"i": 4}, "lhs": 2, "rhs": 0, "ratio": float(1 << 62)}
+    assert [v["instance"] for v in state.violations] == [{"i": 4}, {"i": 5}]
 
 
 def test_random_scan_reproducible():
