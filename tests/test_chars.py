@@ -171,14 +171,6 @@ def test_int_deg_table_is_the_elimination_kernel_on_the_whole_char_space_at_n4()
     assert int_degs(chars.astype(np.int64), 4).tolist() == direct.tolist()
 
 
-@pytest.mark.parametrize("n", SMALL_N)
-def test_int_deg_table_matches_int_deg_on_every_char(n):
-    chars, fams = families(n)
-    table = _int_deg_table(n)
-    assert len(table) == 1 << (1 << n) and table[0] == 0
-    assert table[1:].tolist() == [int_deg(embed_01(f, 2)) for f in fams]
-
-
 @pytest.mark.parametrize("n", range(1, 5))
 def test_int_deg_table_edges(n):
     # the full family needs degree n; one member, or none, needs only constants;
