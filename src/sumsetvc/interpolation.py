@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ParameterError, WitnessNotFoundError
 from .families import PointSet, SetFamily, decode_point
-from .linalg import FieldMatrix, SpanTrackerGF2, SpanTrackerModP
+from .linalg import FieldMatrix, span_tracker
 from .polynomials import (
     MonomialBasis,
     ReducedPolynomial,
@@ -171,7 +171,7 @@ def _graded_span(p: int, n: int, points: tuple[int, ...]):
     it runs out or the rank is |X| (a batch that adds nothing does not stop it).
     """
     columns = _grade_columns(p, n, points)
-    tracker = SpanTrackerGF2() if p == 2 else SpanTrackerModP(p)
+    tracker = span_tracker(p)
     full = len(points)
     for d in range((p - 1) * n + 1):
         batches = columns(d)

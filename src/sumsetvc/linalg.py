@@ -5,15 +5,28 @@ batch and returns how many grew the span, `contains(vec)` tests membership,
 and the rank of a matrix is a fresh tracker's `add` over its rows.
 
 - p = 2: `SpanTrackerGF2`, bit-packed ints (bit j = entry j) reduced by XOR.
-- General p: `SpanTrackerModP` sweeps the columns of a 2-D block of row
+- p = 3: `SpanTrackerGF3`, each row a pair of bit planes (ones, twos), bit
+  j set where entry j is 1 or 2 (bit slicing: Boothby-Bradshaw,
+  arXiv:0901.1413). Entrywise, u + v is 1 where (u, v) is (1, 0), (0, 1) or
+  (2, 2) and 2 where it is (2, 0), (0, 2) or (1, 1); with
+  t = (u1 | v2) ^ (u2 | v1) that is ((u2 | v2) ^ t, (u1 | v1) ^ t), seven
+  operations on whole rows, and -v swaps v's planes. Every entry stays a
+  residue and the planes are unbounded Python ints, so there is no word to
+  choose, no delayed reduction and no overflow bound.
+- Other p: `SpanTrackerModP` sweeps the columns of a 2-D block of row
   vectors. At a column with a stored pivot row it clears the rows not yet
   pivots; elsewhere the first of them nonzero there is stored, normalized (1
   at the column, 0 left of it), and clears the rows below it. Each update
   touches only rows and columns still to be read.
 
-Each update subtracts products of residues, each at most (p-1)^2, so after k
-updates an entry lies within +-(p + k*(p-1)^2), and the rows still to be read
-are reduced mod p only when one more update could leave the tracker's word.
+Both packed trackers key each pivot by its lowest set bit, so it sits in
+the row's first nonzero column, as in `SpanTrackerModP`. `span_tracker(p)`
+picks the tracker of the field; every elimination in the package starts there.
+
+In `SpanTrackerModP` each update subtracts products of residues, each at
+most (p-1)^2, so after k updates an entry lies within +-(p + k*(p-1)^2), and
+the rows still to be read are reduced mod p only when one more update could
+leave the tracker's word.
 Blocks enter as residues and stored rows are residues, so this holds across
 blocks. The word is the narrowest signed integer type that holds a residue
 plus `_MIN_UPDATES` (8) updates, and so the normalization product (p-1)^2:
@@ -81,7 +94,7 @@ class FieldMatrix:
 def pack_bits(array: np.ndarray) -> list[int]:
     """Rows of a 2-D array as integers, bit j set where entry j is nonzero."""
     packed = np.packbits(array, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    return [int.from_bytes(row, "little") for row in packed]
 
 
 def pack_gf2_rows(matrix: FieldMatrix) -> list[int]:
@@ -93,14 +106,23 @@ def pack_gf2_rows(matrix: FieldMatrix) -> list[int]:
 
 def rank_gf2_packed(rows: Iterable[int]) -> int:
     """Rank over F_2 of bit-packed rows; pivots claimed in column order."""
-    return SpanTrackerGF2().add(rows)
+    return span_tracker(2).add(rows)
 
 
 def rank(matrix: FieldMatrix) -> int:
     """Exact rank over F_p: the rows added to a fresh tracker of the field."""
     if matrix.modulus == 2:
         return rank_gf2_packed(pack_gf2_rows(matrix))
-    return SpanTrackerModP(matrix.modulus).add(matrix.array)
+    return span_tracker(matrix.modulus).add(matrix.array)
+
+
+def span_tracker(p: int) -> SpanTrackerGF2 | SpanTrackerGF3 | SpanTrackerModP:
+    """A fresh span tracker over F_p: bit-packed ints at p = 2, 2-D blocks otherwise."""
+    if p == 2:
+        return SpanTrackerGF2()
+    if p == 3:
+        return SpanTrackerGF3()
+    return SpanTrackerModP(p)
 
 
 class SpanTrackerGF2:
@@ -135,6 +157,60 @@ class SpanTrackerGF2:
             cur = self.reduce(vec)
             if cur:
                 pivots[cur & -cur] = cur
+        return len(pivots) - before
+
+
+class SpanTrackerGF3:
+    """Incrementally tracked span of equal-length vectors over F_3, as bit planes."""
+
+    __slots__ = ("_pivots",)
+
+    def __init__(self):
+        self._pivots: dict[int, tuple[int, int]] = {}  # lowest set bit -> (ones, twos), 1 there
+
+    @property
+    def rank(self) -> int:
+        return len(self._pivots)
+
+    @staticmethod
+    def _planes(vectors):
+        """(ones, twos) of each row of a 2-D array-like of integers (or one vector)."""
+        m = np.asarray(vectors, dtype=np.int64)
+        if m.ndim < 2:
+            m = m.reshape(1, -1)
+        if m.size and (m.min() < 0 or m.max() > 2):  # checked first: reducing is slower
+            m = m % 3
+        return zip(pack_bits(m == 1), pack_bits(m == 2))
+
+    def _reduce(self, u1: int, u2: int) -> tuple[int, int]:
+        """The planes of u minus the pivot rows that clear its lowest bits in turn."""
+        pivots = self._pivots
+        while u := u1 | u2:
+            low = u & -u
+            piv = pivots.get(low)
+            if piv is None:
+                break
+            v1, v2 = piv
+            if u1 & low:  # u is 1 at the key: add -v, whose planes are swapped
+                v1, v2 = v2, v1
+            t = (u1 | v2) ^ (u2 | v1)
+            u1, u2 = (u2 | v2) ^ t, (u1 | v1) ^ t
+        return u1, u2
+
+    def contains(self, vec) -> bool:
+        return all(self._reduce(u1, u2) == (0, 0) for u1, u2 in self._planes(vec))
+
+    def add(self, vectors) -> int:
+        """Absorb the rows of a 2-D array-like (or one vector); returns how many grew the span."""
+        pivots = self._pivots
+        before = len(pivots)
+        for u1, u2 in self._planes(vectors):
+            u1, u2 = self._reduce(u1, u2)
+            if u := u1 | u2:
+                low = u & -u
+                if u2 & low:  # scaled by 2 to be 1 at the key
+                    u1, u2 = u2, u1
+                pivots[low] = (u1, u2)
         return len(pivots) - before
 
 

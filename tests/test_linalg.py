@@ -8,6 +8,7 @@ from sumsetvc.clp import clp_matrix
 from sumsetvc.families import encode_point
 from sumsetvc.linalg import (
     SpanTrackerGF2,
+    SpanTrackerGF3,
     SpanTrackerModP,
     pack_gf2_rows,
     rank_gf2_packed,
@@ -21,6 +22,12 @@ from sumsetvc.polynomials import (
 from sumsetvc.sampling import SplitMix64
 
 from oracles import naive_rank
+
+
+def block_trackers(p):
+    """A fresh tracker of each kernel over F_p that takes 2-D blocks: the
+    mod-p column sweep, and at p = 3 also the bit planes it is the oracle of."""
+    return [SpanTrackerModP(p), SpanTrackerGF3()] if p == 3 else [SpanTrackerModP(p)]
 
 
 def random_matrix(p, rows, cols, gen):
@@ -110,13 +117,13 @@ def test_span_tracker_modp_matches_matrix_rank():
             rows = 1 + gen.below(8)
             cols = 1 + gen.below(8)
             m = random_matrix(p, rows, cols, gen)
-            tracker = SpanTrackerModP(p)
-            for j in range(cols):
-                tracker.add(m.array[:, j])
-            assert tracker.rank == rank(m)
-            # every column reduces to zero once the span is built
-            for j in range(cols):
-                assert tracker.contains(m.array[:, j])
+            for tracker in block_trackers(p):
+                for j in range(cols):
+                    tracker.add(m.array[:, j])
+                assert tracker.rank == rank(m)
+                # every column reduces to zero once the span is built
+                for j in range(cols):
+                    assert tracker.contains(m.array[:, j])
 
 
 def test_span_tracker_modp_eliminates_a_fortran_block_in_c_order():
@@ -216,6 +223,59 @@ def test_stored_pivot_rows_are_normalized_residues_in_the_word(p):
         assert row.min() >= 0 and row.max() < p
 
 
+def test_gf3_stored_pivots_are_disjoint_planes_normalized_at_their_key():
+    gen = SplitMix64(33)
+    tracker = SpanTrackerGF3()
+    for _ in range(6):  # later blocks are reduced against the rows stored before
+        block = [[gen.below(3) for _ in range(40)] for _ in range(1 + gen.below(12))]
+        tracker.add(block)
+    assert 0 < tracker.rank <= 40
+    for key, (ones, twos) in tracker._pivots.items():
+        assert key.bit_count() == 1
+        assert ones & twos == 0
+        assert ones & key  # 1 at the key
+        assert (ones | twos) & (key - 1) == 0  # nothing below the key
+        assert (ones | twos) >> 40 == 0
+
+
+def test_gf3_tracker_matches_the_modp_sweep_on_any_integers_and_shapes():
+    gen = SplitMix64(3)
+    block = np.array([[gen.below(3) for _ in range(9)] for _ in range(7)], dtype=np.int64)
+    shifts = np.array([[3 * (gen.below(2001) - 1000) for _ in range(9)] for _ in range(7)])
+    assert block.min() >= 0 and shifts.min() < 0 < shifts.max()
+    vec = [gen.below(3) for _ in range(9)]
+    for entries in (block, block + shifts, block - 3 * 2**40, (block + shifts).tolist()):
+        gf3, modp = SpanTrackerGF3(), SpanTrackerModP(3)
+        assert gf3.add(entries) == modp.add(entries) == gf3.rank == modp.rank
+        assert all(gf3.contains(row) for row in entries)
+        assert gf3.contains(vec) == modp.contains(vec)
+        assert gf3.contains([x - 6 for x in vec]) == modp.contains(vec)
+    # blocks of no rows, and vectors with no entries, add nothing and are inside
+    gf3, modp = SpanTrackerGF3(), SpanTrackerModP(3)
+    gf3.add(block[:3])
+    modp.add(block[:3])
+    for empty in (block[:0], np.zeros((0, 9), dtype=np.int64), []):
+        assert gf3.add(empty) == modp.add(empty) == 0
+        assert gf3.rank == modp.rank
+        assert gf3.contains(empty) and modp.contains(empty)
+    for shape in ((0, 0), (4, 0), (0,)):
+        no_columns = np.zeros(shape, dtype=np.int64)
+        assert SpanTrackerGF3().add(no_columns) == SpanTrackerModP(3).add(no_columns) == 0
+        assert SpanTrackerGF3().contains(no_columns)
+    # one vector, as a 1-D array or a list, is one row
+    gf3, modp = SpanTrackerGF3(), SpanTrackerModP(3)
+    for row in (block[0], block[1].tolist(), block[0] + block[1], (2 * block[0]).tolist()):
+        assert gf3.add(row) == modp.add(row)
+        assert gf3.rank == modp.rank
+    assert gf3.rank == 2
+    # a block is inside only if every row is
+    gf3, modp = SpanTrackerGF3(), SpanTrackerModP(3)
+    gf3.add(block[0])
+    modp.add(block[0])
+    assert gf3.contains(block[:1]) and modp.contains(block[:1])
+    assert not gf3.contains(block[:2]) and not modp.contains(block[:2])
+
+
 @pytest.mark.parametrize("p", WORD_BOUNDARY_PRIMES)
 def test_updates_that_each_move_an_entry_the_most_stay_exact(p):
     # Pivot rows e_i + (p-1) e_k and a last row with p - 1 at every pivot: each
@@ -246,11 +306,11 @@ def test_full_rank_f3_blocks_match_naive_rank():
     assert SpanTrackerModP(p)._word is np.int8
     assert naive_rank(matrix.tolist(), p) == side
     assert rank(FieldMatrix(p, matrix)) == side
-    tracker = SpanTrackerModP(p)
-    for start in range(0, side, 40):
-        tracker.add(matrix[start : start + 40])
-        assert tracker.rank == min(start + 40, side)
-    assert all(tracker.contains(row) for row in matrix)
+    for tracker in block_trackers(p):
+        for start in range(0, side, 40):
+            tracker.add(matrix[start : start + 40])
+            assert tracker.rank == min(start + 40, side)
+        assert all(tracker.contains(row) for row in matrix)
 
 
 @pytest.mark.parametrize("p,n", [(3, 4), (5, 3)])
@@ -277,21 +337,23 @@ def test_kernels_match_oracles_at_random_primes(data):
     expected = naive_rank(matrix, p)
     m = FieldMatrix.from_rows(p, matrix)
     assert rank(m) == expected
-    tracker = SpanTrackerModP(p)
-    for j in range(cols):
-        tracker.add(m.array[:, j])
-    assert tracker.rank == expected
+    for tracker in block_trackers(p):
+        for j in range(cols):
+            tracker.add(m.array[:, j])
+        assert tracker.rank == expected
     # the columns fed as consecutive blocks: each block is reduced against the
     # pivot rows of the earlier ones, so the delayed reduction spans blocks
     cuts = sorted(data.draw(st.lists(st.integers(1, cols), max_size=3), label="cuts"))
-    tracker = SpanTrackerModP(p)
+    trackers = block_trackers(p)
     for start, stop in zip([0] + cuts, cuts + [cols]):
-        tracker.add(m.array[:, start:stop].T)
         prefix = [row[:stop] for row in matrix]
-        assert tracker.rank == naive_rank(prefix, p)
+        spanned = naive_rank(prefix, p)
         vec = data.draw(st.lists(residues, min_size=rows, max_size=rows), label="vec")
-        inside = naive_rank([row + [x] for row, x in zip(prefix, vec)], p) == tracker.rank
-        assert tracker.contains(vec) == inside
+        inside = naive_rank([row + [x] for row, x in zip(prefix, vec)], p) == spanned
+        for tracker in trackers:
+            tracker.add(m.array[:, start:stop].T)
+            assert tracker.rank == spanned
+            assert tracker.contains(vec) == inside
 
     n = data.draw(st.integers(1, 2), label="n")
     vectors = st.tuples(*[residues] * n)

@@ -11,20 +11,30 @@ import sumsetvc.verify as verify_module
 from sumsetvc import (
     EmptyFamilyError,
     FamilyKind,
+    FieldMatrix,
     ParameterError,
+    PartialFunction,
+    PointSet,
     ResourceLimitError,
     SetFamily,
     TheoremId,
     binom_sum,
     check_instance,
     counterexample_demo,
+    deg_on_set,
     exhaustive_scan,
     generate_family,
+    int_deg,
     open_question_constraint,
+    random_polynomial,
     random_scan,
+    rank,
     search_open_question,
+    verify_clp_bound,
 )
+from sumsetvc import clp, interpolation, linalg
 from sumsetvc.chars import CHAR_MAX_N, char_members
+from sumsetvc.sampling import SplitMix64
 
 from oracles import OracleScanState, naive_pairwise, naive_vc_dim
 
@@ -504,6 +514,82 @@ def test_pool_size_is_capped_by_chunks_and_cpus(monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert exhaustive_scan("sauer", 2, workers=workers) == expected
     assert sizes == [4, 3, 2]
+
+
+# --- the F_3 span tracker against the mod-p sweep ---------------------------------------
+
+# the modules whose eliminations look up `span_tracker` by name
+SPAN_TRACKER_CALLERS = (linalg, interpolation, clp)
+
+
+def f3_results(monkeypatch):
+    """From cold int_deg memos: the report and per-instance stream of random
+    psums and clp_bound scans at p = 3, then int_deg and deg_on_set of random
+    subsets of F_3^n, on either side of the half-cube split."""
+    interpolation._int_deg_points.cache_clear()
+    results = []
+    for theorem, n, seed in product(("psums", "clp_bound"), (3, 4, 5), (1, 2, 3)):
+        report = []
+        scan = lambda: report.append(random_scan(theorem, n, 3, samples=20, seed=seed))
+        results.append((recorded_stream(monkeypatch, scan), report))
+    gen = SplitMix64(27)
+    for n in (2, 3):
+        for _ in range(25):
+            domain = PointSet.from_points(3, n, [gen.below(3**n) for _ in range(1 + gen.below(3**n))])
+            values = tuple(gen.below(3) for _ in domain.points)
+            results.append((int_deg(domain), deg_on_set(PartialFunction(domain, values))))
+    interpolation._int_deg_points.cache_clear()
+    return results
+
+
+def test_f3_scans_and_degrees_match_the_modp_sweep_oracle(monkeypatch):
+    default = f3_results(monkeypatch)
+    real = linalg.span_tracker
+    oracle_adds = []
+    with monkeypatch.context() as m:
+        for module in SPAN_TRACKER_CALLERS:
+            m.setattr(module, "span_tracker", lambda p: linalg.SpanTrackerModP(p) if p == 3 else real(p))
+        add = linalg.SpanTrackerModP.add
+        m.setattr(linalg.SpanTrackerModP, "add", lambda self, v: oracle_adds.append(1) or add(self, v))
+        m.setattr(linalg.SpanTrackerGF3, "add", None)  # the oracle run never reaches it
+        oracle = f3_results(monkeypatch)
+    assert oracle_adds
+    assert oracle == default
+
+
+def test_eliminations_take_their_tracker_from_span_tracker(monkeypatch):
+    handed_out = []
+    real = linalg.span_tracker
+
+    def recording(p):
+        handed_out.append(real(p))
+        return handed_out[-1]
+
+    for module in SPAN_TRACKER_CALLERS:
+        monkeypatch.setattr(module, "span_tracker", recording)
+    for cls in (linalg.SpanTrackerGF2, linalg.SpanTrackerGF3, linalg.SpanTrackerModP):
+        def checked(self, vectors, add=cls.add):
+            assert any(self is t for t in handed_out), type(self).__name__
+            return add(self, vectors)
+
+        monkeypatch.setattr(cls, "add", checked)
+    interpolation._int_deg_points.cache_clear()
+    gen = SplitMix64(5)
+    for p in (2, 3, 5):
+        domain = PointSet.from_points(p, 2, range(0, p * p, 2))
+        values = tuple(gen.below(p) for _ in domain.points)
+        for call in (
+            lambda: rank(FieldMatrix.identity(p, 3)),
+            lambda: int_deg(domain),
+            lambda: deg_on_set(PartialFunction(domain, values)),
+            lambda: verify_clp_bound(random_polynomial(p, 2, 3, gen)),
+        ):
+            before = len(handed_out)
+            call()
+            assert len(handed_out) == before + 1, p
+    interpolation._int_deg_points.cache_clear()
+    kinds = [linalg.SpanTrackerGF2, linalg.SpanTrackerGF3, linalg.SpanTrackerModP]
+    assert [type(t) for t in handed_out] == [kind for kind in kinds for _ in range(4)]
 
 
 # --- counterexample_demo --------------------------------------------------------------
