@@ -1,14 +1,14 @@
 """Command-line front end.
 
-Every library operation is reachable from a subcommand except five
-library-only ones, `is_shattered`, `evaluation_matrix`, `rank`, `clp_matrix`
-and `check_instance`; the map from operation to subcommand lives in
-tests/test_cli.py, whose coverage test traces each subcommand's calls.
-Reports are JSON by default with a fixed field order; content digests cover
-everything except the optional timing field, and timing is only recorded
-under --timings so that repeated runs with the same flags and inputs
-produce byte-identical output. Progress for long scans goes to standard
-error; standard output stays machine-clean.
+Every library operation is reachable from a subcommand except three
+library-only ones, `is_shattered`, `evaluation_matrix` and `check_instance`;
+the map from operation to subcommand lives in tests/test_cli.py, whose
+coverage test traces each subcommand's calls. Reports are JSON by default
+with a fixed field order; content digests cover everything except the
+optional timing field, and timing is only recorded under --timings so that
+repeated runs with the same flags and inputs produce byte-identical output.
+Progress for long scans goes to standard error; standard output stays
+machine-clean.
 
 Each subcommand handler returns (exit code, text), and `run` alone writes the
 text, to --out or standard output; only `vcdim --report` writes a second file.

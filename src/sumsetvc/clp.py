@@ -58,7 +58,7 @@ import numpy as np
 from .chars import _coord_masks
 from .errors import DimensionMismatchError, ParameterError, ResourceLimitError
 from .families import PointSet, add_points, check_power, encode_point
-from .linalg import FieldMatrix, rank, span_tracker  # rank: unused, bench/tracer.py wraps it
+from .linalg import FieldMatrix, rank, rank_gf2_packed
 from .polynomials import (
     CUBE_MATERIALIZE_LIMIT,
     ReducedPolynomial,
@@ -179,8 +179,7 @@ def verify_clp_bound(
     rank M is taken as the rank of the coefficient matrix H of P(x + y)
     (module docstring), under the guards of clp_matrix: its nonzero rows, by
     descending degree of their monomial, as bit-space integers over F_2 and
-    as a gathered row-major block of residues otherwise, added to a fresh
-    `span_tracker(p)`.
+    as a gathered block through `rank` otherwise.
     """
     p, n, d = poly.modulus, poly.dimension, poly.degree()
     size = check_power(p, n, point_limit, "matrix side p**n", ResourceLimitError)
@@ -189,7 +188,7 @@ def verify_clp_bound(
         rows = np.array([sum(1 << encode_point(expvec, 2) for expvec in poly.terms)], dtype=object)
         for j, low in enumerate(_coord_masks(n)):  # row a + {j}: row a shifted down by 2**j
             rows = np.concatenate((rows, (rows >> (1 << j)) & low))
-        rows = (row for row in rows[_degree_order(2, n)].tolist() if row)
+        r = rank_gf2_packed(row for row in rows[_degree_order(2, n)].tolist() if row)
     else:
         fact = _factorials(p, min(d, p - 1))
         h = np.zeros(size + 1, dtype=np.int64)  # h[size] = 0 for the sums that leave the range
@@ -197,8 +196,7 @@ def verify_clp_bound(
             h[encode_point(expvec, p)] = coeff * math.prod(fact[e] for e in expvec) % p
         table = _monomial_sum_table(p, n)[1]
         live = np.flatnonzero((h != 0)[table].any(axis=1))
-        rows = h[table[np.ix_(live, live)]]
-    r = span_tracker(p).add(rows)
+        r = rank(FieldMatrix(p, h[table[np.ix_(live, live)]]))
     bound = polynomial_method_bound(p, n, d, 2)
     return CLPBoundReport(degree=d, rank=r, bound=bound, ok=r <= bound)
 

@@ -21,7 +21,8 @@ and the rank of a matrix is a fresh tracker's `add` over its rows.
 
 Both packed trackers key each pivot by its lowest set bit, so it sits in
 the row's first nonzero column, as in `SpanTrackerModP`. `span_tracker(p)`
-picks the tracker of the field; every elimination in the package starts there.
+picks the tracker of the field for `rank` and the graded span; only rows
+already bit-packed over F_2 go to `rank_gf2_packed`, which needs no choice.
 
 In `SpanTrackerModP` each update subtracts products of residues, each at
 most (p-1)^2, so after k updates an entry lies within +-(p + k*(p-1)^2), and
@@ -106,7 +107,7 @@ def pack_gf2_rows(matrix: FieldMatrix) -> list[int]:
 
 def rank_gf2_packed(rows: Iterable[int]) -> int:
     """Rank over F_2 of bit-packed rows; pivots claimed in column order."""
-    return span_tracker(2).add(rows)
+    return SpanTrackerGF2().add(rows)
 
 
 def rank(matrix: FieldMatrix) -> int:

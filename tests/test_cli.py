@@ -543,7 +543,7 @@ OPERATION_COVERAGE = {
     "monomial_count": "clp-rank",
     "monomial_basis": "clp-rank",
     "evaluation_matrix": None,
-    "rank": None,
+    "rank": "clp-rank",
     "deg_on_set": "intdeg",
     "int_deg": "intdeg",
     "find_unshattered_witness": "vcdim",
